@@ -164,13 +164,20 @@ func (st *iterState) insert(c underlay.PeerID) {
 	}
 }
 
-// finish completes the request on the origin's shard.
+// finish completes the request on the origin's shard. The origin never
+// enters the working set (it does not query itself), so it competes for
+// the answer here, under the same (Dist, id) order insert uses: a lookup
+// whose origin is itself the closest peer must converge on the origin.
 func (st *iterState) finish() {
 	st.done = true
 	it := st.it
 	best := st.origin
 	if len(st.cand) > 0 {
-		best = st.cand[0]
+		c := st.cand[0]
+		dc, do := it.Dist(c, st.target), it.Dist(st.origin, st.target)
+		if dc < do || (dc == do && c < st.origin) {
+			best = c
+		}
 	}
 	res := Result{
 		Origin: st.origin, Best: best,

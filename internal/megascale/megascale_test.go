@@ -2,6 +2,7 @@ package megascale
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"unap2p/internal/sim"
@@ -190,11 +191,6 @@ func TestIterConverges(t *testing.T) {
 		for p := 0; p < n; p++ {
 			p := underlay.PeerID(p)
 			target := Mix64(uint64(p) ^ 0xabc)
-			// The driver never answers with the origin itself, so steer
-			// targets away from the origin-is-closest edge.
-			for space.ClosestXOR(target) == space.ID(p) {
-				target = Mix64(target)
-			}
 			net.Kernel().Shard(net.ShardOf(p)).Schedule(sim.Duration(p%7), func() {
 				it.Start(p, target, nil)
 			})
@@ -216,6 +212,73 @@ func TestIterConverges(t *testing.T) {
 	s4, _ := run(4)
 	if s4.Done != s1.Done || s4.OK != s1.OK {
 		t.Fatalf("K=4 outcomes differ from K=1: %+v vs %+v", s4, s1)
+	}
+}
+
+// TestIterOriginIsAnswer pins the origin-is-the-answer edge: a lookup
+// whose origin holds the exact XOR-closest id (Kademlia's metric) or is
+// the target's ring predecessor (Chord's) must converge on the origin and
+// report OK, although the origin never enters its own working set.
+func TestIterOriginIsAnswer(t *testing.T) {
+	metrics := []struct {
+		name   string
+		dist   func(id, target uint64) uint64
+		answer func(s *IDSpace, target uint64) uint64
+		// targetFor returns a target the origin's id answers exactly.
+		targetFor func(id uint64) uint64
+	}{
+		{"kademlia", func(id, target uint64) uint64 { return id ^ target },
+			(*IDSpace).ClosestXOR, func(id uint64) uint64 { return id ^ 1 }},
+		{"chord", func(id, target uint64) uint64 { return CWDist(id, target-1) },
+			(*IDSpace).PredecessorID, func(id uint64) uint64 { return id + 1 }},
+	}
+	for _, m := range metrics {
+		net := buildStack(t, 16, 2)
+		n := net.Peers().Len()
+		space := NewIDSpace(n, 5)
+		ctr := NewCounters(net.Kernel().NumShards())
+		it := &Iter{
+			Net: net, ReqClass: 0, RepClass: 1, RPCBytes: 64,
+			Alpha: 3, Width: 8, Ctr: ctr,
+			Dist: func(q underlay.PeerID, target uint64) uint64 {
+				return m.dist(space.ID(q), target)
+			},
+			// The target's ring neighborhood: contains the origin itself,
+			// which the driver must not query, and its closest rivals.
+			Candidates: func(q underlay.PeerID, target uint64) []underlay.PeerID {
+				var out []underlay.PeerID
+				r := space.SuccessorRank(target)
+				for off := -3; off <= 3; off++ {
+					out = append(out, space.ByRank(((r+off)%n+n)%n))
+				}
+				return out
+			},
+			OK: func(best underlay.PeerID, target uint64) bool {
+				return space.ID(best) == m.answer(space, target)
+			},
+		}
+		var mu sync.Mutex // onDone runs on the origin's shard goroutine
+		var wrong []underlay.PeerID
+		for p := 0; p < n; p++ {
+			p := underlay.PeerID(p)
+			target := m.targetFor(space.ID(p))
+			if m.answer(space, target) != space.ID(p) {
+				t.Fatalf("%s: peer %d does not answer its own target", m.name, p)
+			}
+			net.Kernel().Shard(net.ShardOf(p)).Schedule(0, func() {
+				it.Start(p, target, func(r Result) {
+					if !r.OK || r.Best != p {
+						mu.Lock()
+						wrong = append(wrong, p)
+						mu.Unlock()
+					}
+				})
+			})
+		}
+		net.Kernel().Drain()
+		if st := ctr.Stats(); st.Done != uint64(n) || st.OK != uint64(n) || len(wrong) > 0 {
+			t.Fatalf("%s: %d/%d lookups exact; origins answered wrongly: %v", m.name, st.OK, st.Done, wrong)
+		}
 	}
 }
 

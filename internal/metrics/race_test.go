@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -136,4 +138,93 @@ func TestTrafficMatrixConcurrent(t *testing.T) {
 	if !m.Conservation() {
 		t.Fatal("conservation violated")
 	}
+}
+
+// TestTrafficMatrixConcurrentFirstTouch has every writer create cells
+// over a grid wider than the initial dense index, in its own order, so
+// first touches race with each other and with index growth while a
+// reader snapshots. No byte may be lost, Pairs must stay sorted, and the
+// snapshot must round-trip.
+func TestTrafficMatrixConcurrentFirstTouch(t *testing.T) {
+	const grid = 40
+	m := NewTrafficMatrix()
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if ps := m.Pairs(); !pairsSorted(ps) {
+					t.Error("Pairs not sorted mid-flight")
+					return
+				}
+				m.Snapshot()
+			}
+		}
+	}()
+	// Each writer walks its own permutation of the grid: every stride is
+	// coprime with grid².
+	strides := [raceWriters]int{1, 3, 7, 11, 13, 17, 19, 23}
+	for w := 0; w < raceWriters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < grid*grid; i++ {
+				c := (i*strides[w] + w*97) % (grid * grid)
+				m.Add(c/grid, c%grid, 3)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	if want := uint64(raceWriters * grid * grid * 3); m.Total() != want {
+		t.Fatalf("lost bytes: total %d want %d", m.Total(), want)
+	}
+	ps := m.Pairs()
+	if len(ps) != grid*grid || !pairsSorted(ps) {
+		t.Fatalf("pairs: %d cells, sorted=%v; want %d sorted", len(ps), pairsSorted(ps), grid*grid)
+	}
+	for _, p := range ps {
+		if got := m.Pair(p.Src, p.Dst); got != raceWriters*3 {
+			t.Fatalf("pair %v holds %d bytes, want %d", p, got, raceWriters*3)
+		}
+	}
+	if !m.Conservation() {
+		t.Fatal("conservation violated")
+	}
+	// An id far above the current dimension grows the index in place.
+	m.Add(1000, 3, 5)
+	if m.Pair(1000, 3) != 5 || m.Pair(3, 1000) != 0 || m.Pair(5000, 5000) != 0 || !m.Conservation() {
+		t.Fatal("growth past the index dimension lost or misplaced bytes")
+	}
+	snap := m.Snapshot()
+	if back := MatrixFromSnapshot(snap).Snapshot(); !reflect.DeepEqual(back, snap) {
+		t.Fatal("snapshot round trip changed the matrix")
+	}
+}
+
+func pairsSorted(ps []ASPair) bool {
+	return slices.IsSortedFunc(ps, func(a, b ASPair) int {
+		if a.Src != b.Src {
+			return a.Src - b.Src
+		}
+		return a.Dst - b.Dst
+	})
+}
+
+// TestTrafficMatrixNegativeID pins the documented contract: AS ids index
+// the underlay's AS table, so a negative one is a caller bug and panics
+// rather than being silently dropped.
+func TestTrafficMatrixNegativeID(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add with a negative AS id did not panic")
+		}
+	}()
+	NewTrafficMatrix().Add(-1, 0, 1)
 }

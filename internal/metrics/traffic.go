@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -16,50 +15,84 @@ type ASPair struct {
 // core locality measurement: the intra-AS fraction of this matrix is the
 // number every biased-neighbor-selection experiment in the paper reports.
 //
-// A TrafficMatrix is safe for concurrent use. Like CounterSet, the cell
-// index is an atomic copy-on-write map — the per-message Add is a plain
-// map lookup plus atomic adds, and only the first touch of a new AS pair
-// takes the write lock and clones the index. This matters because the
-// underlay charges every single Send into its Traffic matrix.
+// A TrafficMatrix is safe for concurrent use. Cells live in a dense
+// dim×dim index addressed src*dim+dst, published through an atomic
+// pointer: the per-message Add is a bounds check, an atomic load and
+// atomic adds, with no map and no lock. The first touch of a pair takes
+// the mutex to create its accumulator; an AS id at or beyond dim first
+// grows the index by doubling dim, so creation costs amortized O(1)
+// rather than the whole-index clone a copy-on-write map pays. The
+// underlay charges every single Send into its Traffic matrix, which is
+// why this path matters. AS ids are non-negative (they index the
+// underlay's AS table); Add panics on a negative id.
 type TrafficMatrix struct {
-	mu    sync.Mutex // serializes index replacement on first-touch creation
-	cells atomic.Pointer[map[ASPair]*atomic.Uint64]
+	mu    sync.Mutex // serializes cell creation and index growth
+	index atomic.Pointer[cellIndex]
 	total atomic.Uint64
 	intra atomic.Uint64
+}
+
+// cellIndex is one published generation of the dense cell index. A grown
+// index copies the previous generation's cell pointers, so a writer still
+// holding an old index adds into the same accumulators.
+type cellIndex struct {
+	dim   int
+	cells []atomic.Pointer[atomic.Uint64] // src*dim+dst, nil = untouched
+}
+
+// get returns the accumulator for (src, dst), nil when untouched or out of
+// range.
+func (ix *cellIndex) get(src, dst int) *atomic.Uint64 {
+	if uint(src) >= uint(ix.dim) || uint(dst) >= uint(ix.dim) {
+		return nil
+	}
+	return ix.cells[src*ix.dim+dst].Load()
 }
 
 // NewTrafficMatrix returns an empty matrix.
 func NewTrafficMatrix() *TrafficMatrix {
 	m := &TrafficMatrix{}
-	cells := make(map[ASPair]*atomic.Uint64)
-	m.cells.Store(&cells)
+	m.index.Store(&cellIndex{})
 	return m
 }
 
-// cell returns the accumulator for p, creating it on first use.
-func (m *TrafficMatrix) cell(p ASPair) *atomic.Uint64 {
-	if c, ok := (*m.cells.Load())[p]; ok {
+// cell returns the accumulator for (src, dst), creating it on first use.
+func (m *TrafficMatrix) cell(src, dst int) *atomic.Uint64 {
+	if c := m.index.Load().get(src, dst); c != nil {
 		return c
+	}
+	if src < 0 || dst < 0 {
+		panic(fmt.Sprintf("metrics: negative AS id in traffic pair (%d,%d)", src, dst))
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cur := *m.cells.Load()
-	if c, ok := cur[p]; ok { // lost the creation race
-		return c
+	ix := m.index.Load()
+	if need := max(src, dst) + 1; need > ix.dim {
+		dim := max(ix.dim, 8)
+		for dim < need {
+			dim *= 2
+		}
+		grown := &cellIndex{dim: dim, cells: make([]atomic.Pointer[atomic.Uint64], dim*dim)}
+		for s := 0; s < ix.dim; s++ {
+			for d := 0; d < ix.dim; d++ {
+				grown.cells[s*dim+d].Store(ix.cells[s*ix.dim+d].Load())
+			}
+		}
+		m.index.Store(grown)
+		ix = grown
 	}
-	next := make(map[ASPair]*atomic.Uint64, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
+	slot := &ix.cells[src*ix.dim+dst]
+	c := slot.Load()
+	if c == nil { // else another writer created it first
+		c = new(atomic.Uint64)
+		slot.Store(c)
 	}
-	c := new(atomic.Uint64)
-	next[p] = c
-	m.cells.Store(&next)
 	return c
 }
 
 // Add records n bytes flowing from AS src to AS dst.
 func (m *TrafficMatrix) Add(src, dst int, n uint64) {
-	m.cell(ASPair{src, dst}).Add(n)
+	m.cell(src, dst).Add(n)
 	m.total.Add(n)
 	if src == dst {
 		m.intra.Add(n)
@@ -87,26 +120,22 @@ func (m *TrafficMatrix) IntraFraction() float64 {
 
 // Pair returns the bytes recorded for a specific AS pair.
 func (m *TrafficMatrix) Pair(src, dst int) uint64 {
-	if c, ok := (*m.cells.Load())[ASPair{src, dst}]; ok {
+	if c := m.index.Load().get(src, dst); c != nil {
 		return c.Load()
 	}
 	return 0
 }
 
-// Pairs returns all pairs with non-zero traffic, sorted for deterministic
-// iteration.
+// Pairs returns every pair that has been touched, sorted by (src, dst) —
+// the dense index's row-major order.
 func (m *TrafficMatrix) Pairs() []ASPair {
-	cells := *m.cells.Load()
-	ps := make([]ASPair, 0, len(cells))
-	for p := range cells {
-		ps = append(ps, p)
-	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Src != ps[j].Src {
-			return ps[i].Src < ps[j].Src
+	ix := m.index.Load()
+	var ps []ASPair
+	for i := range ix.cells {
+		if ix.cells[i].Load() != nil {
+			ps = append(ps, ASPair{i / ix.dim, i % ix.dim})
 		}
-		return ps[i].Dst < ps[j].Dst
-	})
+	}
 	return ps
 }
 
@@ -119,9 +148,11 @@ func (m *TrafficMatrix) String() string {
 // writers in flight the cell sum may transiently trail total).
 func (m *TrafficMatrix) Conservation() bool {
 	var sum uint64
-	cells := *m.cells.Load()
-	for _, c := range cells {
-		sum += c.Load()
+	ix := m.index.Load()
+	for i := range ix.cells {
+		if c := ix.cells[i].Load(); c != nil {
+			sum += c.Load()
+		}
 	}
 	return sum == m.total.Load() && m.intra.Load() <= m.total.Load()
 }

@@ -62,7 +62,8 @@ func DefaultCompactConfig() CompactConfig {
 // share a key (statically, from the deterministic replica placement)
 // and forwards the query only to those, which answer with a QueryHit
 // straight to the origin. Flood dedup state is per-shard, keyed by
-// (query id, peer), so every mutation stays on the owning shard.
+// (query id, peer), so every mutation stays on the owning shard, and it
+// is bounded: see floodDedup.
 type CompactFlood struct {
 	cfg CompactConfig
 	net *transport.ShardedNet
@@ -81,8 +82,8 @@ type CompactFlood struct {
 
 	ctr *megascale.Counters
 	// seen holds per-shard flood dedup sets keyed qid<<32|peer; each
-	// shard touches only its own map.
-	seen []map[uint64]struct{}
+	// shard touches only its own.
+	seen []floodDedup
 	// qseq allocates per-shard query ids; potential counts queries whose
 	// key was statically reachable (the ground-truth denominator).
 	qseq      []uint32
@@ -111,14 +112,51 @@ func NewCompactFlood(net *transport.ShardedNet, cfg CompactConfig, seed uint64, 
 		uidx:     make([]int32, n),
 		qryClass: qryClass, hitClass: hitClass,
 		ctr:       megascale.NewCounters(shards),
-		seen:      make([]map[uint64]struct{}, shards),
+		seen:      make([]floodDedup, shards),
 		qseq:      make([]uint32, shards),
 		potential: make([]uint64, shards),
 	}
 	for i := range g.seen {
-		g.seen[i] = make(map[uint64]struct{})
+		g.seen[i] = floodDedup{
+			cur: make(map[uint64]struct{}), prev: make(map[uint64]struct{}),
+			period: dedupPeriods * cfg.Timeout,
+		}
 	}
 	return g
+}
+
+// dedupPeriods sizes a dedup generation in query Timeouts. Timeout is the
+// deadline a flood's hits must beat, so it is sized above a flood's
+// lifetime (TTL hops out, one hop back); ten Timeouts leave a wide margin.
+const dedupPeriods = 10
+
+// floodDedup is one shard's flood dedup set, split into two generations
+// rotated by the shard's sim time. A key stays visible for at least one
+// full period after it is marked, which exceeds any flood's lifetime, so
+// dedup answers exactly as an unbounded set would; but the set holds only
+// the last two periods' queries instead of every query of the run, and
+// the rotation reuses the retired generation's storage.
+type floodDedup struct {
+	cur, prev map[uint64]struct{}
+	period    sim.Duration
+	rotateAt  sim.Time
+}
+
+// mark records key at shard time now and reports whether it was new.
+func (d *floodDedup) mark(key uint64, now sim.Time) bool {
+	if now >= d.rotateAt {
+		d.cur, d.prev = d.prev, d.cur
+		clear(d.cur)
+		d.rotateAt = now + d.period
+	}
+	if _, dup := d.cur[key]; dup {
+		return false
+	}
+	if _, dup := d.prev[key]; dup {
+		return false
+	}
+	d.cur[key] = struct{}{}
+	return true
 }
 
 // Name identifies the overlay (megascale.CompactOverlay).
@@ -335,11 +373,9 @@ func (g *CompactFlood) deliver(origin, u underlay.PeerID, qid uint64,
 		return
 	}
 	shard := g.net.ShardOf(u)
-	dk := qid<<32 | uint64(u)
-	if _, dup := g.seen[shard][dk]; dup {
+	if !g.seen[shard].mark(qid<<32|uint64(u), g.net.Kernel().Shard(shard).Now()) {
 		return
 	}
-	g.seen[shard][dk] = struct{}{}
 	for _, o := range owners {
 		o := o
 		if !g.attachedTo(o, u) {
@@ -356,12 +392,10 @@ func (g *CompactFlood) deliver(origin, u underlay.PeerID, qid uint64,
 			if !g.net.Peers().Up(o) {
 				return
 			}
-			lk := qid<<32 | uint64(o)
 			ls := g.net.ShardOf(o)
-			if _, dup := g.seen[ls][lk]; dup {
+			if !g.seen[ls].mark(qid<<32|uint64(o), g.net.Kernel().Shard(ls).Now()) {
 				return
 			}
-			g.seen[ls][lk] = struct{}{}
 			g.reply(origin, o, hop, st)
 		})
 	}

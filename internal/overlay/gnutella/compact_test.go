@@ -216,3 +216,58 @@ func TestCompactFloodAware(t *testing.T) {
 		t.Fatal("aware graph lost every cross-AS link — k-external rule broken")
 	}
 }
+
+// TestCompactFloodDedupBounded drives 20 one-minute blocks of queries
+// under churn: the per-shard dedup sets must stay flat instead of
+// growing with every query of the run, and rotating them must not change
+// a single outcome compared with an unbounded set.
+func TestCompactFloodDedupBounded(t *testing.T) {
+	const blocks, perBlock = 20, 200
+	const block = sim.Minute
+	run := func(unbounded bool) (megascale.Stats, transport.NetStats, []int) {
+		g, net := buildCompactFlood(t, 32, 2, 31, false)
+		if unbounded {
+			for i := range g.seen {
+				g.seen[i].period = sim.Forever
+			}
+		}
+		megascale.AttachChurn(net, 5, megascale.ChurnConfig{Frac: 5, MeanOn: 20000, MeanOff: 5000})
+		n := net.Peers().Len()
+		var sizes []int
+		for b := 0; b < blocks; b++ {
+			start := sim.Time(b) * block
+			for q := 0; q < perBlock; q++ {
+				p := underlay.PeerID(megascale.Mix64(uint64(b*perBlock+q)) % uint64(n))
+				seed := uint64(b*perBlock + q)
+				net.Kernel().Shard(net.ShardOf(p)).At(start+sim.Time(q)*block/perBlock, func() {
+					g.Query(p, seed, nil)
+				})
+			}
+			net.Kernel().Run(start + block)
+			size := 0
+			for i := range g.seen {
+				size += len(g.seen[i].cur) + len(g.seen[i].prev)
+			}
+			sizes = append(sizes, size)
+		}
+		net.Kernel().Run(blocks*block + 2*g.cfg.Timeout) // churn never drains
+		return g.Stats(), net.Stats(), sizes
+	}
+	st, ns, sizes := run(false)
+	ust, uns, usizes := run(true)
+	if st != ust || !reflect.DeepEqual(ns, uns) {
+		t.Fatalf("rotation changed outcomes: %+v vs unbounded %+v", st, ust)
+	}
+	if st.Done != blocks*perBlock || st.OK == 0 {
+		t.Fatalf("queries scored %d (ok %d) of %d", st.Done, st.OK, blocks*perBlock)
+	}
+	for b := 1; b < blocks; b++ {
+		if sizes[b] > 2*sizes[0] {
+			t.Fatalf("dedup set grows: %d keys after block %d, %d after block 0", sizes[b], b, sizes[0])
+		}
+	}
+	if usizes[blocks-1] < 10*usizes[0] {
+		t.Fatalf("unbounded reference did not grow (%d → %d): the test no longer exercises rotation",
+			usizes[0], usizes[blocks-1])
+	}
+}

@@ -1,6 +1,7 @@
 package gnutella
 
 import (
+	"slices"
 	"testing"
 
 	"unap2p/internal/core"
@@ -230,13 +231,13 @@ func TestLeafRoles(t *testing.T) {
 func TestLeaveDisconnects(t *testing.T) {
 	net, o := build(t, 4, DefaultConfig(), 9)
 	n := o.Node(net.Hosts()[0].ID)
-	nb := sortedIDs(n.neighbors)
+	nb := slices.Clone(n.neighbors)
 	o.Leave(n)
 	if n.Degree() != 0 {
 		t.Fatal("left node keeps neighbors")
 	}
 	for _, id := range nb {
-		if o.Node(id).neighbors[n.Host.ID] {
+		if o.Node(id).neighbors.has(n.Host.ID) {
 			t.Fatal("neighbor still points at left node")
 		}
 	}

@@ -1,6 +1,8 @@
 package gnutella
 
 import (
+	"slices"
+
 	"unap2p/internal/resilience"
 	"unap2p/internal/underlay"
 )
@@ -39,8 +41,8 @@ func (o *Overlay) Evict(id underlay.HostID) {
 		return
 	}
 	wasUltra := n.Ultra
-	orphans := sortedIDs(n.leaves)
-	backbone := sortedIDs(n.neighbors)
+	orphans := slices.Clone(n.leaves)
+	backbone := slices.Clone(n.neighbors)
 	o.Leave(n)
 	if !wasUltra {
 		return
@@ -114,25 +116,25 @@ func (o *Overlay) electUltra(asID int) *Node {
 
 // Evicted returns the peers evicted so far, sorted.
 func (o *Overlay) Evicted() []underlay.HostID {
-	return sortedIDs(o.evicted)
+	out := make([]underlay.HostID, 0, len(o.evicted))
+	for id := range o.evicted {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Refs returns every peer referenced by a connection set — ultrapeer
 // neighbors, leaf attachments, leaf parents — deduped and sorted: the
 // reference set chaos invariants sweep for dead peers.
 func (o *Overlay) Refs() []underlay.HostID {
-	set := make(map[underlay.HostID]bool)
+	var refs []underlay.HostID
 	for _, id := range o.order {
 		n := o.nodes[id]
-		for nb := range n.neighbors {
-			set[nb] = true
-		}
-		for l := range n.leaves {
-			set[l] = true
-		}
-		for p := range n.parents {
-			set[p] = true
-		}
+		refs = append(refs, n.neighbors...)
+		refs = append(refs, n.leaves...)
+		refs = append(refs, n.parents...)
 	}
-	return sortedIDs(set)
+	slices.Sort(refs)
+	return slices.Compact(refs)
 }

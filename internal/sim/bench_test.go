@@ -69,6 +69,33 @@ func BenchmarkKernelSchedule(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelScheduleRun measures schedule+pop against a deep queue:
+// 1024 pending events that each reschedule themselves at a scattered
+// delay when they fire, the shape of a message flood in flight. Unlike
+// BenchmarkKernelSchedule (one pending event), every push and pop here
+// sifts through about ten heap levels.
+func BenchmarkKernelScheduleRun(b *testing.B) {
+	const depth = 1024
+	k := NewKernel()
+	n := 0
+	var tick func()
+	tick = func() {
+		n++
+		if n <= b.N {
+			k.Schedule(Duration(1+(n*7919)%97), tick)
+		}
+	}
+	for j := 0; j < depth; j++ {
+		k.Schedule(Duration(j%97), tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Drain()
+	if n != b.N+depth {
+		b.Fatalf("processed %d of %d", n, b.N+depth)
+	}
+}
+
 // TestKernelScheduleZeroAlloc pins the satellite requirement directly:
 // steady-state schedule+fire performs zero allocations per event.
 func TestKernelScheduleZeroAlloc(t *testing.T) {

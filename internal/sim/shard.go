@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"sync"
@@ -269,7 +268,7 @@ func (k *Kernel) runEpoch(end Time, inclusive, unbounded bool) {
 		if next.at > end || (next.at == end && !inclusive) {
 			return
 		}
-		heap.Pop(&k.queue)
+		k.queue.pop()
 		if next.daemon {
 			k.daemons--
 		}

@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -54,34 +53,85 @@ type event struct {
 	next *event
 }
 
+// eventHeap is a binary min-heap of pending events ordered by (at, seq).
+// It is typed rather than driven through container/heap, whose interface
+// dispatch on every comparison and swap dominated the kernel's per-event
+// cost. Sifts move a hole instead of swapping, so each level writes one
+// slot and one event.idx; idx stays current so Cancel can remove from the
+// middle. (at, seq) keys are unique, so the pop order is fully determined
+// by the key, not by the heap's shape.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// up sifts h[j] toward the root.
+func (h eventHeap) up(j int) {
+	e := h[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		p := h[i]
+		if !e.before(p) {
+			break
+		}
+		h[j] = p
+		p.idx = j
+		j = i
 	}
-	return h[i].seq < h[j].seq
+	h[j] = e
+	e.idx = j
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+
+// down sifts h[i] toward the leaves within h[:n] and reports whether it
+// moved.
+func (h eventHeap) down(i, n int) bool {
+	e := h[i]
+	i0 := i
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		j, c := l, h[l]
+		if r := l + 1; r < n && h[r].before(c) {
+			j, c = r, h[r]
+		}
+		if !c.before(e) {
+			break
+		}
+		h[i] = c
+		c.idx = i
+		i = j
+	}
+	h[i] = e
+	e.idx = i
+	return i > i0
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
+
+func (h *eventHeap) push(e *event) {
 	*h = append(*h, e)
+	h.up(len(*h) - 1)
 }
-func (h *eventHeap) Pop() any {
+
+// remove takes the event at index i out of the heap; pop is remove(0).
+func (h *eventHeap) remove(i int) *event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	e := old[i]
+	if n != i {
+		old[i] = old[n]
+		if !old.down(i, n) {
+			old.up(i)
+		}
+	}
+	old[n] = nil
 	e.idx = -1
-	*h = old[:n-1]
+	*h = old[:n]
 	return e
 }
+
+func (h *eventHeap) pop() *event { return h.remove(0) }
 
 // Kernel is a discrete-event scheduler. The zero value is ready to use.
 type Kernel struct {
@@ -167,7 +217,7 @@ func (t Timer) Cancel() bool {
 	if t.e == nil || t.e.gen != t.gen || t.e.idx < 0 {
 		return false
 	}
-	heap.Remove(&t.k.queue, t.e.idx)
+	t.k.queue.remove(t.e.idx)
 	if t.e.daemon {
 		t.k.daemons--
 	}
@@ -230,7 +280,7 @@ func (k *Kernel) at(t Time, fn func(), daemon bool) Timer {
 	e := k.alloc()
 	e.at, e.seq, e.fn, e.daemon = t, k.seq, fn, daemon
 	k.seq++
-	heap.Push(&k.queue, e)
+	k.queue.push(e)
 	if daemon {
 		k.daemons++
 	}
@@ -306,7 +356,7 @@ func (k *Kernel) Run(until Time) Time {
 			k.now = until
 			return k.now
 		}
-		heap.Pop(&k.queue)
+		k.queue.pop()
 		if next.daemon {
 			k.daemons--
 		}
