@@ -2,6 +2,7 @@ package livenode
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,31 +161,22 @@ func (e *kademlia) Evict(id underlay.HostID)   { e.c.Evict(id) }
 
 func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 	e.c.Msgs.Get("kad_lookup").Inc()
-	members := e.c.members()
-	if len(members) == 0 {
+	cands := newKadCandidates(target, e.c.Self, e.c.members())
+	if len(cands.list) == 0 {
 		return 0, false
 	}
-	want := ClosestXor(members, target, 1)[0]
+	want := cands.best()
 
 	var key [8]byte
 	binary.BigEndian.PutUint64(key[:], target)
 	// Iterative deepening: always query the closest not-yet-queried
 	// candidate, merging every reply's contacts into the candidate set,
 	// until the frontier is exhausted or the probe budget runs out.
-	candidates := append([]underlay.HostID(nil), members...)
-	queried := map[underlay.HostID]bool{e.c.Self: true}
 	for probes := 0; probes < kadMaxProbes; probes++ {
-		var next underlay.HostID = -1
-		for _, id := range ClosestXor(candidates, target, len(candidates)) {
-			if !queried[id] && !e.c.Dead(id) {
-				next = id
-				break
-			}
-		}
-		if next < 0 {
+		next, ok := cands.next(e.c.Dead)
+		if !ok {
 			break
 		}
-		queried[next] = true
 		resp, err := e.c.Net.Call(next, "kad:find_node", key[:])
 		if err != nil {
 			e.c.Msgs.Get("kad_rpc_fail").Inc()
@@ -199,11 +191,11 @@ func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 			if e.c.Dead(p.ID) {
 				continue
 			}
-			e.c.Net.Book().Set(p.ID, p.Addr)
-			candidates = append(candidates, p.ID)
+			e.c.Net.Book().SetAddrPort(p.ID, p.Addr)
+			cands.add(p.ID)
 		}
 	}
-	got := ClosestXor(dedup(candidates), target, 1)[0]
+	got := cands.best()
 	if got == want {
 		e.c.Msgs.Get("kad_lookup_ok").Inc()
 		return got, true
@@ -212,17 +204,56 @@ func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 	return got, false
 }
 
-func dedup(ids []underlay.HostID) []underlay.HostID {
-	seen := make(map[underlay.HostID]bool, len(ids))
-	out := ids[:0]
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+// kadCandidate is one contact of a lookup's candidate set.
+type kadCandidate struct {
+	xorEntry
+	queried bool
+}
+
+// kadCandidates is an iterative lookup's candidate set: every contact
+// seen so far, once each, sorted by (XOR distance to the target, id), so
+// choosing the next probe and the final answer reads the list in order
+// instead of ranking it again.
+type kadCandidates struct {
+	target uint64
+	self   underlay.HostID // never probed: a node does not query itself
+	list   []kadCandidate
+}
+
+func newKadCandidates(target uint64, self underlay.HostID, members []underlay.HostID) *kadCandidates {
+	s := &kadCandidates{target: target, self: self, list: make([]kadCandidate, 0, len(members))}
+	for _, id := range members {
+		s.add(id)
+	}
+	return s
+}
+
+// add inserts id unless it is already a candidate.
+func (s *kadCandidates) add(id underlay.HostID) {
+	e := xorEntry{NodeKey(id) ^ s.target, id}
+	i, found := slices.BinarySearchFunc(s.list, e, func(c kadCandidate, e xorEntry) int {
+		return cmpXor(c.xorEntry, e)
+	})
+	if !found {
+		s.list = slices.Insert(s.list, i, kadCandidate{xorEntry: e, queried: id == s.self})
+	}
+}
+
+// next marks and returns the closest candidate that is neither queried
+// nor dead; false when none is left.
+func (s *kadCandidates) next(dead func(underlay.HostID) bool) (underlay.HostID, bool) {
+	for i := range s.list {
+		if c := &s.list[i]; !c.queried && !dead(c.id) {
+			c.queried = true
+			return c.id, true
 		}
 	}
-	return out
+	return 0, false
 }
+
+// best returns the closest candidate, queried or not. The set must not
+// be empty.
+func (s *kadCandidates) best() underlay.HostID { return s.list[0].id }
 
 // --- Chord ---
 
@@ -323,7 +354,7 @@ func (e *chord) Lookup(target uint64) (underlay.HostID, bool) {
 			e.c.Msgs.Get("chord_bad_resp").Inc()
 			break
 		}
-		e.c.Net.Book().Set(peers[0].ID, peers[0].Addr)
+		e.c.Net.Book().SetAddrPort(peers[0].ID, peers[0].Addr)
 		done, hop = resp[0] == 1, peers[0].ID
 	}
 	if done && hop == want {
@@ -340,6 +371,10 @@ const (
 	gnuTTL     = 4
 	gnuFanout  = 3
 	gnuTimeout = 2 * time.Second
+	// gnuSeenPeriod is a generation of the query dedup set. A lookup
+	// waits gnuTimeout for its hit, so no flood it started is still worth
+	// relaying after that; a generation twice as long leaves a margin.
+	gnuSeenPeriod = 2 * gnuTimeout
 )
 
 // gnutella is the live unstructured engine: a TTL-bounded flood. A query
@@ -352,8 +387,41 @@ type gnutella struct {
 	qid atomic.Uint64
 
 	mu      sync.Mutex
-	seen    map[uint64]bool
+	seen    qidSet
 	pending map[uint64]chan underlay.HostID
+}
+
+// qidSet is the flood dedup set, split into two generations rotated on
+// the wall clock. A qid stays visible for at least one full period after
+// it is marked, longer than any flood lives, so dedup answers as an
+// unbounded set would; but the set holds only the last two periods'
+// qids, however many lookups the node runs and however many made-up
+// qids its peers send.
+type qidSet struct {
+	cur, prev map[uint64]struct{}
+	period    time.Duration
+	rotateAt  time.Time
+}
+
+func newQidSet(period time.Duration) qidSet {
+	return qidSet{cur: make(map[uint64]struct{}), prev: make(map[uint64]struct{}), period: period}
+}
+
+// mark records qid at time now and reports whether it was new.
+func (d *qidSet) mark(qid uint64, now time.Time) bool {
+	if !now.Before(d.rotateAt) {
+		d.cur, d.prev = d.prev, d.cur
+		clear(d.cur)
+		d.rotateAt = now.Add(d.period)
+	}
+	if _, dup := d.cur[qid]; dup {
+		return false
+	}
+	if _, dup := d.prev[qid]; dup {
+		return false
+	}
+	d.cur[qid] = struct{}{}
+	return true
 }
 
 // gnu:query payload: qid(8) + target(4) + origin(4) + ttl(1).
@@ -362,7 +430,7 @@ const gnuQueryLen = 8 + 4 + 4 + 1
 func newGnutella(c *Core) *gnutella {
 	e := &gnutella{
 		c:       c,
-		seen:    make(map[uint64]bool),
+		seen:    newQidSet(gnuSeenPeriod),
 		pending: make(map[uint64]chan underlay.HostID),
 	}
 	e.qid.Store(NodeKey(c.Self)) // disjoint qid streams per node
@@ -385,10 +453,9 @@ func (e *gnutella) onQuery(from underlay.HostID, _ string, payload []byte) {
 	ttl := payload[16]
 
 	e.mu.Lock()
-	dup := e.seen[qid]
-	e.seen[qid] = true
+	fresh := e.seen.mark(qid, time.Now())
 	e.mu.Unlock()
-	if dup {
+	if !fresh {
 		e.c.Msgs.Get("gnu_dup").Inc()
 		return
 	}
@@ -410,18 +477,27 @@ func (e *gnutella) onQuery(from underlay.HostID, _ string, payload []byte) {
 	e.c.Msgs.Get("gnu_forward").Inc()
 }
 
-// flood relays a query to up to gnuFanout members, skipping self, the
-// frame's sender and the origin.
+// flood relays a query to up to gnuFanout members other than self, the
+// frame's sender and the origin. The relays are a partial Fisher–Yates
+// draw seeded by the query id and this node, so successive hops spread a
+// query over different members rather than all converging on the
+// lowest ids, and a given node relays a given query deterministically.
 func (e *gnutella) flood(payload []byte, sender, origin underlay.HostID) {
-	sent := 0
-	for _, id := range e.c.members() {
-		if id == e.c.Self || id == sender || id == origin {
-			continue
+	peers := e.c.members()
+	n := 0
+	for _, id := range peers {
+		if id != e.c.Self && id != sender && id != origin {
+			peers[n] = id
+			n++
 		}
-		e.c.Net.SendPayload(id, "gnu:query", payload, 0)
-		if sent++; sent >= gnuFanout {
-			break
-		}
+	}
+	peers = peers[:n]
+	r := mix64(binary.BigEndian.Uint64(payload) ^ NodeKey(e.c.Self))
+	for i := 0; i < min(gnuFanout, n); i++ {
+		j := i + int(r%uint64(n-i))
+		peers[i], peers[j] = peers[j], peers[i]
+		e.c.Net.SendPayload(peers[i], "gnu:query", payload, 0)
+		r = mix64(r + 0x9e3779b97f4a7c15)
 	}
 }
 
@@ -462,7 +538,7 @@ func (e *gnutella) Lookup(target uint64) (underlay.HostID, bool) {
 	ch := make(chan underlay.HostID, 1)
 	e.mu.Lock()
 	e.pending[qid] = ch
-	e.seen[qid] = true // don't re-relay our own query when it echoes back
+	e.seen.mark(qid, time.Now()) // don't re-relay our own query when it echoes back
 	e.mu.Unlock()
 	defer func() {
 		e.mu.Lock()

@@ -18,7 +18,8 @@
 package livenode
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"unap2p/internal/underlay"
 )
@@ -40,22 +41,46 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// xorDist is the Kademlia metric.
-func xorDist(a, b uint64) uint64 { return a ^ b }
+// xorEntry pairs a member with its XOR distance to a lookup target, so
+// a ranking computes each NodeKey once.
+type xorEntry struct {
+	dist uint64
+	id   underlay.HostID
+}
+
+// cmpXor orders entries by (distance, id): the Kademlia notion of
+// "closer", with the id breaking ties between equal keys.
+func cmpXor(a, b xorEntry) int {
+	if c := cmp.Compare(a.dist, b.dist); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
 
 // ClosestXor returns up to k member ids sorted by XOR distance of their
-// NodeKey to target — the Kademlia notion of "closest".
+// NodeKey to target — the Kademlia notion of "closest" — with ties
+// broken by id. It returns nil for an empty member list.
 func ClosestXor(members []underlay.HostID, target uint64, k int) []underlay.HostID {
-	out := append([]underlay.HostID(nil), members...)
-	sort.Slice(out, func(i, j int) bool {
-		di, dj := xorDist(NodeKey(out[i]), target), xorDist(NodeKey(out[j]), target)
-		if di != dj {
-			return di < dj
+	if len(members) == 0 {
+		return nil
+	}
+	if k == 1 {
+		best := xorEntry{NodeKey(members[0]) ^ target, members[0]}
+		for _, id := range members[1:] {
+			if e := (xorEntry{NodeKey(id) ^ target, id}); cmpXor(e, best) < 0 {
+				best = e
+			}
 		}
-		return out[i] < out[j]
-	})
-	if len(out) > k {
-		out = out[:k]
+		return []underlay.HostID{best.id}
+	}
+	ranked := make([]xorEntry, len(members))
+	for i, id := range members {
+		ranked[i] = xorEntry{NodeKey(id) ^ target, id}
+	}
+	slices.SortFunc(ranked, cmpXor)
+	out := make([]underlay.HostID, min(k, len(ranked)))
+	for i := range out {
+		out[i] = ranked[i].id
 	}
 	return out
 }

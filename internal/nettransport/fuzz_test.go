@@ -22,12 +22,19 @@ func FuzzDecodePeers(f *testing.F) {
 		}
 		b.Set(underlay.HostID(i), a)
 	}
+	b.Set(3, &net.UDPAddr{IP: net.ParseIP("fe80::3"), Zone: "eth0", Port: 4004})
+	b.Set(4, &net.UDPAddr{IP: net.ParseIP("::ffff:192.0.2.4"), Port: 4005})
 	f.Add(b.Encode())
 	f.Add(NewAddressBook().Encode())
-	// …and the known attack shapes seed the reject paths.
+	// …and the known attack shapes seed the reject paths: a lying count,
+	// and names a resolver would look up (the decoder must not).
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 1})
 	f.Add([]byte{})
+	for _, name := range []string{"localhost:4001", "127.0.0.1:http"} {
+		p := []byte{0, 0, 0, 1, 0, 0, 0, 9, byte(len(name))}
+		f.Add(append(p, name...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, err := DecodePeers(data)

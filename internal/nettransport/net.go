@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -278,12 +279,13 @@ func (n *Net) writeFrame(f *Frame) error {
 }
 
 // writeFrameTo encodes and transmits one frame to an explicit address.
-func (n *Net) writeFrameTo(f *Frame, addr *net.UDPAddr) error {
-	buf, err := AppendFrame(nil, f)
+func (n *Net) writeFrameTo(f *Frame, addr netip.AddrPort) error {
+	// Sized for an inline type name too, so encoding allocates once.
+	buf, err := AppendFrame(make([]byte, 0, headerLen+1+len(f.Type)+len(f.Payload)), f)
 	if err != nil {
 		return err
 	}
-	_, err = n.conn.WriteToUDP(buf, addr)
+	_, err = n.conn.WriteToUDPAddrPort(buf, addr)
 	return err
 }
 
@@ -316,9 +318,9 @@ var errTimeout = errors.New("nettransport: round trip timed out")
 
 // call performs one request/response attempt with the given payload,
 // returning the response frame and the measured wall RTT. addr, when
-// non-nil, overrides the book lookup (the join handshake knows the
+// valid, overrides the book lookup (the join handshake knows the
 // bootstrap's address before it knows its id).
-func (n *Net) call(to underlay.HostID, addr *net.UDPAddr, msgType string, payload []byte, respBytes uint32, timeout time.Duration) (Frame, time.Duration, error) {
+func (n *Net) call(to underlay.HostID, addr netip.AddrPort, msgType string, payload []byte, respBytes uint32, timeout time.Duration) (Frame, time.Duration, error) {
 	id := n.reqID.Add(1)
 	ch := make(chan Frame, 1)
 	n.waitMu.Lock()
@@ -334,7 +336,7 @@ func (n *Net) call(to underlay.HostID, addr *net.UDPAddr, msgType string, payloa
 		ReqID: id, RespBytes: respBytes, Payload: payload}
 	start := time.Now()
 	var werr error
-	if addr != nil {
+	if addr.IsValid() {
 		werr = n.writeFrameTo(&f, addr)
 	} else {
 		werr = n.writeFrame(&f)
@@ -381,7 +383,7 @@ func (n *Net) RoundTripWith(p transport.RetryPolicy, from, to *underlay.Host,
 			n.msgs.Get("net_retry").Inc()
 		}
 		n.account(reqType, reqBytes)
-		resp, rtt, err := n.call(to.ID, nil, reqType, padded(reqBytes), uint32(rb), n.cfg.Timeout)
+		resp, rtt, err := n.call(to.ID, netip.AddrPort{}, reqType, padded(reqBytes), uint32(rb), n.cfg.Timeout)
 		if err == nil {
 			// The reply leg is charged on the receiver side when it sends;
 			// account the received reply here so this process's planes see
@@ -413,7 +415,7 @@ func (n *Net) Probe(from, to *underlay.Host, bytes uint64) transport.Result {
 // Call is the payload RPC the live overlay engines build on: request
 // payload out, response payload back, single attempt, default timeout.
 func (n *Net) Call(to underlay.HostID, msgType string, payload []byte) ([]byte, error) {
-	return n.callObserved(to, nil, msgType, payload)
+	return n.callObserved(to, netip.AddrPort{}, msgType, payload)
 }
 
 // CallAt is Call aimed at an explicit UDP address instead of a book
@@ -421,10 +423,10 @@ func (n *Net) Call(to underlay.HostID, msgType string, payload []byte) ([]byte, 
 // id (the response frame's From field, which the receive loop also
 // learns into the book automatically).
 func (n *Net) CallAt(addr *net.UDPAddr, msgType string, payload []byte) ([]byte, error) {
-	return n.callObserved(-1, addr, msgType, payload) // To = -1: id unknown
+	return n.callObserved(-1, addrPortOf(addr), msgType, payload) // To = -1: id unknown
 }
 
-func (n *Net) callObserved(to underlay.HostID, addr *net.UDPAddr, msgType string, payload []byte) ([]byte, error) {
+func (n *Net) callObserved(to underlay.HostID, addr netip.AddrPort, msgType string, payload []byte) ([]byte, error) {
 	n.account(msgType, uint64(len(payload)))
 	resp, rtt, err := n.call(to, addr, msgType, payload, 0, n.cfg.Timeout)
 	if err != nil {
@@ -440,7 +442,7 @@ func (n *Net) receiveLoop() {
 	defer n.wg.Done()
 	buf := make([]byte, 65536)
 	for {
-		nr, raddr, err := n.conn.ReadFromUDP(buf)
+		nr, raddr, err := n.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if n.closed.Load() {
 				return
@@ -461,7 +463,7 @@ func (n *Net) receiveLoop() {
 		// Learn or refresh the sender's address from the packet source —
 		// a hello is therefore enough to become reachable cluster-wide.
 		if f.From >= 0 && f.From != n.cfg.Self {
-			n.book.Set(f.From, raddr)
+			n.book.SetAddrPort(f.From, raddr)
 		}
 		switch f.Kind {
 		case KindData:

@@ -1,6 +1,7 @@
 package nettransport
 
 import (
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -175,6 +176,46 @@ func TestNetHandlerAndCall(t *testing.T) {
 	}
 	if n := a.Counters().Get("kad:nodes_rx").Value(); n != 1 {
 		t.Fatalf("caller kad:nodes_rx counter = %d, want 1", n)
+	}
+}
+
+// TestNetDualStackPeer: a dual-stack socket sees an IPv4 peer as
+// ::ffff:a.b.c.d. The book stores it unmapped, and calls run both ways
+// between the dual-stack and the IPv4-only socket.
+func TestNetDualStackPeer(t *testing.T) {
+	dual, err := Listen(Config{Self: 0, Listen: ":0", Timeout: 250 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Skipf("no dual-stack UDP socket: %v", err)
+	}
+	t.Cleanup(func() { dual.Close() })
+	v4 := listen(t, 1)
+	echo := func(_ underlay.HostID, p []byte) []byte { return p }
+	dual.Handle("kad:find_node", echo)
+	v4.Handle("kad:find_node", echo)
+
+	loop := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: dual.LocalAddr().Port}
+	if _, err := v4.CallAt(loop, "kad:find_node", []byte("a")); err != nil {
+		t.Fatalf("IPv4 → dual-stack: %v", err)
+	}
+	learned, ok := dual.Book().Get(v4.Self())
+	if !ok || !learned.Addr().Is4() {
+		t.Fatalf("dual-stack book holds %v, %v for the IPv4 peer, want an IPv4 address", learned, ok)
+	}
+	if _, err := dual.Call(v4.Self(), "kad:find_node", []byte("b")); err != nil {
+		t.Fatalf("dual-stack → IPv4: %v", err)
+	}
+	if _, err := v4.Call(dual.Self(), "kad:find_node", []byte("c")); err != nil {
+		t.Fatalf("IPv4 → dual-stack by id: %v", err)
+	}
+}
+
+// TestNetCallAtHostless: a bootstrap address without a host (":9000")
+// means this host, as it does for the net package.
+func TestNetCallAtHostless(t *testing.T) {
+	a, b := listen(t, 0), listen(t, 1)
+	b.Handle("kad:find_node", func(_ underlay.HostID, p []byte) []byte { return p })
+	if _, err := a.CallAt(&net.UDPAddr{Port: b.LocalAddr().Port}, "kad:find_node", []byte("x")); err != nil {
+		t.Fatalf("CallAt(:%d): %v", b.LocalAddr().Port, err)
 	}
 }
 

@@ -10,7 +10,7 @@
 // The package splits into four pieces:
 //
 //	wire.go  — the length-prefixed binary frame codec
-//	book.go  — the peer address book (underlay.HostID → *net.UDPAddr)
+//	book.go  — the peer address book (underlay.HostID → netip.AddrPort)
 //	net.go   — Net, the Messenger implementation + payload RPC layer
 //	realtime.go — Pacer, a wall-clock driver for a sim.Kernel, so
 //	  sim-time components (the resilience failure detector) run
