@@ -4,7 +4,7 @@ GO ?= go
 # for publication-quality numbers.
 BENCHTIME ?= 100ms
 
-.PHONY: ci vet build test race bench bench-json perf-gate cover series-demo chaos fuzz-smoke megascale-smoke net-smoke live-chaos
+.PHONY: ci vet build test race bench bench-json perf-gate cover loc series-demo chaos fuzz-smoke megascale-smoke net-smoke live-chaos
 
 # ci is the full verification gate: static analysis, a clean build of
 # every package, the test suite under the race detector, the chaos
@@ -15,10 +15,11 @@ BENCHTIME ?= 100ms
 # smoke over localhost UDP, the live chaos campaign (sim-vs-live
 # conformance plus schedule-driven fault injection against real
 # clusters), and the perf gate (fails on >15% ns/op or allocs/op
-# regression against the baseline snapshot). The coverage summary runs
-# afterwards as a non-fatal reporting step.
+# regression against the baseline snapshot). The coverage summary and
+# the line count run afterwards as non-fatal reporting steps.
 ci: vet build race chaos fuzz-smoke series-demo megascale-smoke net-smoke live-chaos perf-gate
 	-$(MAKE) cover
+	-$(MAKE) loc
 
 vet:
 	$(GO) vet ./...
@@ -83,6 +84,13 @@ perf-gate:
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
+
+# loc prints the non-test Go lines of every package in the module and
+# their total — the size figure a simplification should shrink.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+		awk '{ n = 0; for (i = 2; i <= NF; i++) { while ((getline line < $$i) > 0) n++; close($$i) } \
+			printf "%7d %s\n", n, $$1; total += n } END { printf "%7d total\n", total }'
 
 # chaos runs the self-healing suite: every overlay under the standard
 # seeded fault campaign (loss burst + crash wave) with a live failure

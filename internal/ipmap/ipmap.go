@@ -98,13 +98,6 @@ type ISPMapper interface {
 	ASOf(ip IP) (asID int, ok bool)
 }
 
-// LocationMapper resolves an IP to an approximate geolocation.
-type LocationMapper interface {
-	// LocationOf returns an estimated coordinate for ip and ok=false when
-	// unknown.
-	LocationOf(ip IP) (geo.Coord, bool)
-}
-
 // Registry is a mapping service built from the address plan — the
 // simulated equivalent of the commercial IP-to-ISP databases. Accuracy
 // knobs reproduce the paper's caveat that such services are "less

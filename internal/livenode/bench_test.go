@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"unap2p/internal/megascale"
 	"unap2p/internal/underlay"
 )
 
@@ -23,7 +24,7 @@ func BenchmarkLiveClosestXor(b *testing.B) {
 			b.Run(fmt.Sprintf("ids=%d/k=%d", n, k), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					benchSink += ClosestXor(ids, mix64(uint64(i)), k)[0]
+					benchSink += ClosestXor(ids, megascale.Mix64(uint64(i)), k)[0]
 				}
 			})
 		}
@@ -61,7 +62,7 @@ func BenchmarkLiveKademliaLookup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, _ := nodes[i%n].Engine().Lookup(mix64(uint64(i)))
+		got, _ := nodes[i%n].Engine().Lookup(megascale.Mix64(uint64(i)))
 		benchSink += got
 	}
 }

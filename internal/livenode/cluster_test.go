@@ -105,6 +105,19 @@ func TestClusterLookups(t *testing.T) {
 	}
 }
 
+// TestKademliaLookupNeverQueriesSelf pins that a live lookup enters its
+// own node as already queried: alone in its cluster, a node resolves
+// every target to itself without serving a single find_node.
+func TestKademliaLookupNeverQueriesSelf(t *testing.T) {
+	node := bootCluster(t, "kademlia", 1)[0]
+	if ok := node.RunLookups(8); ok != 8 {
+		t.Fatalf("%d/8 lookups verified on a one-node cluster", ok)
+	}
+	if served := node.core.Msgs.Snapshot()["kad_served"]; served != 0 {
+		t.Fatalf("node served %d find_node requests to itself", served)
+	}
+}
+
 // TestClusterDetectsKill boots a kademlia cluster, kills one node, and
 // requires every survivor's failure detector to suspect and then evict
 // it — the real-socket version of the chaos-harness eviction test, with

@@ -2,11 +2,12 @@ package livenode
 
 import (
 	"encoding/binary"
-	"slices"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"unap2p/internal/megascale"
 	"unap2p/internal/metrics"
 	"unap2p/internal/nettransport"
 	"unap2p/internal/resilience"
@@ -161,11 +162,19 @@ func (e *kademlia) Evict(id underlay.HostID)   { e.c.Evict(id) }
 
 func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 	e.c.Msgs.Get("kad_lookup").Inc()
-	cands := newKadCandidates(target, e.c.Self, e.c.members())
-	if len(cands.list) == 0 {
+	// Every contact seen so far, once each and ranked: the probe budget
+	// may skip any number of dead peers, so the list keeps them all. The
+	// node itself is listed as queried — it does not query itself.
+	members := e.c.members()
+	cands := megascale.NewShortlist[underlay.HostID](math.MaxInt, len(members))
+	add := func(id underlay.HostID) { cands.Add(id, NodeKey(id)^target, id == e.c.Self) }
+	for _, id := range members {
+		add(id)
+	}
+	want, _, ok := cands.Head()
+	if !ok {
 		return 0, false
 	}
-	want := cands.best()
 
 	var key [8]byte
 	binary.BigEndian.PutUint64(key[:], target)
@@ -173,7 +182,7 @@ func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 	// candidate, merging every reply's contacts into the candidate set,
 	// until the frontier is exhausted or the probe budget runs out.
 	for probes := 0; probes < kadMaxProbes; probes++ {
-		next, ok := cands.next(e.c.Dead)
+		next, ok := cands.Next(e.c.Dead)
 		if !ok {
 			break
 		}
@@ -192,10 +201,10 @@ func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 				continue
 			}
 			e.c.Net.Book().SetAddrPort(p.ID, p.Addr)
-			cands.add(p.ID)
+			add(p.ID)
 		}
 	}
-	got := cands.best()
+	got, _, _ := cands.Head()
 	if got == want {
 		e.c.Msgs.Get("kad_lookup_ok").Inc()
 		return got, true
@@ -203,57 +212,6 @@ func (e *kademlia) Lookup(target uint64) (underlay.HostID, bool) {
 	e.c.Msgs.Get("kad_lookup_fail").Inc()
 	return got, false
 }
-
-// kadCandidate is one contact of a lookup's candidate set.
-type kadCandidate struct {
-	xorEntry
-	queried bool
-}
-
-// kadCandidates is an iterative lookup's candidate set: every contact
-// seen so far, once each, sorted by (XOR distance to the target, id), so
-// choosing the next probe and the final answer reads the list in order
-// instead of ranking it again.
-type kadCandidates struct {
-	target uint64
-	self   underlay.HostID // never probed: a node does not query itself
-	list   []kadCandidate
-}
-
-func newKadCandidates(target uint64, self underlay.HostID, members []underlay.HostID) *kadCandidates {
-	s := &kadCandidates{target: target, self: self, list: make([]kadCandidate, 0, len(members))}
-	for _, id := range members {
-		s.add(id)
-	}
-	return s
-}
-
-// add inserts id unless it is already a candidate.
-func (s *kadCandidates) add(id underlay.HostID) {
-	e := xorEntry{NodeKey(id) ^ s.target, id}
-	i, found := slices.BinarySearchFunc(s.list, e, func(c kadCandidate, e xorEntry) int {
-		return cmpXor(c.xorEntry, e)
-	})
-	if !found {
-		s.list = slices.Insert(s.list, i, kadCandidate{xorEntry: e, queried: id == s.self})
-	}
-}
-
-// next marks and returns the closest candidate that is neither queried
-// nor dead; false when none is left.
-func (s *kadCandidates) next(dead func(underlay.HostID) bool) (underlay.HostID, bool) {
-	for i := range s.list {
-		if c := &s.list[i]; !c.queried && !dead(c.id) {
-			c.queried = true
-			return c.id, true
-		}
-	}
-	return 0, false
-}
-
-// best returns the closest candidate, queried or not. The set must not
-// be empty.
-func (s *kadCandidates) best() underlay.HostID { return s.list[0].id }
 
 // --- Chord ---
 
@@ -492,12 +450,12 @@ func (e *gnutella) flood(payload []byte, sender, origin underlay.HostID) {
 		}
 	}
 	peers = peers[:n]
-	r := mix64(binary.BigEndian.Uint64(payload) ^ NodeKey(e.c.Self))
+	r := megascale.Mix64(binary.BigEndian.Uint64(payload) ^ NodeKey(e.c.Self))
 	for i := 0; i < min(gnuFanout, n); i++ {
 		j := i + int(r%uint64(n-i))
 		peers[i], peers[j] = peers[j], peers[i]
 		e.c.Net.SendPayload(peers[i], "gnu:query", payload, 0)
-		r = mix64(r + 0x9e3779b97f4a7c15)
+		r = megascale.Mix64(r + 0x9e3779b97f4a7c15)
 	}
 }
 

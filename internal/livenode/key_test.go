@@ -1,11 +1,13 @@
 package livenode
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
 	"testing"
 
+	"unap2p/internal/megascale"
 	"unap2p/internal/underlay"
 )
 
@@ -65,8 +67,10 @@ func TestClosestXorMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestKadCandidatesMatchOldRule drives the Kademlia candidate set and
-// the rule it replaced side by side on random lookups: the old rule kept
+// TestKadCandidatesMatchOldRule drives the live Kademlia lookup's
+// candidate list (an unbounded megascale.Shortlist, the node itself
+// entered as queried) and the rule it replaced side by side on random
+// lookups: the old rule kept
 // every contact in a growing list, fully ranked it with ClosestXor on
 // every probe to find the closest unqueried live one, and deduplicated
 // it before ranking once more for the answer.
@@ -98,7 +102,11 @@ func TestKadCandidatesMatchOldRule(t *testing.T) {
 		}
 		isDead := func(id underlay.HostID) bool { return dead[id] }
 
-		cands := newKadCandidates(target, self, members)
+		cands := megascale.NewShortlist[underlay.HostID](math.MaxInt, len(members))
+		add := func(id underlay.HostID) { cands.Add(id, NodeKey(id)^target, id == self) }
+		for _, id := range members {
+			add(id)
+		}
 		old := slices.Clone(members)
 		queried := map[underlay.HostID]bool{self: true}
 		for probe := 0; probe < kadMaxProbes; probe++ {
@@ -109,7 +117,7 @@ func TestKadCandidatesMatchOldRule(t *testing.T) {
 					break
 				}
 			}
-			gotNext, ok := cands.next(isDead)
+			gotNext, ok := cands.Next(isDead)
 			if !ok {
 				gotNext = -1
 			}
@@ -127,10 +135,11 @@ func TestKadCandidatesMatchOldRule(t *testing.T) {
 				if i == 1 && rng.Intn(4) == 0 {
 					id = self
 				}
-				cands.add(id)
+				add(id)
 				old = append(old, id)
 			}
-			if got, want := cands.best(), ClosestXor(dedup(slices.Clone(old)), target, 1)[0]; got != want {
+			got, _, _ := cands.Head()
+			if want := ClosestXor(dedup(slices.Clone(old)), target, 1)[0]; got != want {
 				t.Fatalf("trial %d probe %d: best = %d, old rule %d", trial, probe, got, want)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"unap2p/internal/megascale"
 	"unap2p/internal/nettransport"
 	"unap2p/internal/resilience"
 	"unap2p/internal/sim"
@@ -254,7 +255,7 @@ func (n *Node) MetricsAddr() string {
 func (n *Node) RunLookups(count int) (ok int) {
 	seed := NodeKey(n.cfg.ID)
 	for i := 0; i < count; i++ {
-		target := mix64(seed + uint64(i)*0x9e3779b97f4a7c15)
+		target := megascale.Mix64(seed + uint64(i)*0x9e3779b97f4a7c15)
 		if _, good := n.engine.Lookup(target); good {
 			ok++
 		}

@@ -1,8 +1,6 @@
 package megascale
 
 import (
-	"sort"
-
 	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
 )
@@ -48,15 +46,14 @@ type Iter struct {
 // iterState is one in-flight request; it lives on the origin peer's
 // shard and every mutation of it happens there.
 type iterState struct {
-	it      *Iter
-	origin  underlay.PeerID
-	target  uint64
-	cand    []underlay.PeerID // candidates sorted by distance
-	queried map[underlay.PeerID]bool
-	inFly   int
-	hops    int
-	done    bool
-	onDone  func(Result)
+	it     *Iter
+	origin underlay.PeerID
+	target uint64
+	cand   Shortlist[underlay.PeerID] // the Width closest candidates
+	inFly  int
+	hops   int
+	done   bool
+	onDone func(Result)
 }
 
 // Start begins an iterative request for target from peer origin. It must
@@ -66,8 +63,8 @@ func (it *Iter) Start(origin underlay.PeerID, target uint64, onDone func(Result)
 	it.Ctr.Start(it.Net.ShardOf(origin))
 	st := &iterState{
 		it: it, origin: origin, target: target,
-		queried: make(map[underlay.PeerID]bool, it.Width),
-		onDone:  onDone,
+		cand:   NewShortlist[underlay.PeerID](it.Width, it.Width),
+		onDone: onDone,
 	}
 	for _, c := range it.Candidates(origin, target) {
 		st.insert(c)
@@ -83,14 +80,11 @@ func (st *iterState) step() {
 	}
 	it := st.it
 	issued := false
-	for _, q := range st.cand {
-		if st.inFly >= it.Alpha {
+	for st.inFly < it.Alpha {
+		q, ok := st.cand.Next(nil)
+		if !ok {
 			break
 		}
-		if st.queried[q] {
-			continue
-		}
-		st.queried[q] = true
 		st.inFly++
 		st.hops++
 		issued = true
@@ -136,46 +130,24 @@ func (st *iterState) request(q underlay.PeerID) {
 	})
 }
 
-// insert merges candidate c into the sorted working set, keeping the
-// nearest Width entries.
+// insert adds candidate c to the working set. The origin never enters
+// it: a peer does not query itself.
 func (st *iterState) insert(c underlay.PeerID) {
-	if c == st.origin {
-		return
-	}
-	it := st.it
-	dc := it.Dist(c, st.target)
-	for _, e := range st.cand {
-		if e == c {
-			return
-		}
-	}
-	i := sort.Search(len(st.cand), func(i int) bool {
-		de := it.Dist(st.cand[i], st.target)
-		if de != dc {
-			return de > dc
-		}
-		return st.cand[i] >= c
-	})
-	st.cand = append(st.cand, 0)
-	copy(st.cand[i+1:], st.cand[i:])
-	st.cand[i] = c
-	if len(st.cand) > it.Width {
-		st.cand = st.cand[:it.Width]
+	if c != st.origin {
+		st.cand.Add(c, st.it.Dist(c, st.target), false)
 	}
 }
 
 // finish completes the request on the origin's shard. The origin never
 // enters the working set (it does not query itself), so it competes for
-// the answer here, under the same (Dist, id) order insert uses: a lookup
+// the answer here, under the working set's (Dist, id) order: a lookup
 // whose origin is itself the closest peer must converge on the origin.
 func (st *iterState) finish() {
 	st.done = true
 	it := st.it
 	best := st.origin
-	if len(st.cand) > 0 {
-		c := st.cand[0]
-		dc, do := it.Dist(c, st.target), it.Dist(st.origin, st.target)
-		if dc < do || (dc == do && c < st.origin) {
+	if c, dc, ok := st.cand.Head(); ok {
+		if do := it.Dist(st.origin, st.target); dc < do || (dc == do && c < st.origin) {
 			best = c
 		}
 	}

@@ -1,8 +1,6 @@
 package chord
 
 import (
-	"sort"
-
 	"unap2p/internal/megascale"
 	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
@@ -162,44 +160,20 @@ func (c *CompactRing) Bootstrap(seed uint64) {
 	}
 }
 
-// candidates returns q's best contacts toward target — its successor
-// list and fingers ranked by the predecessor metric, the compact
-// closest_preceding_node. Executes on q's shard; the rows are immutable
-// after Bootstrap so the read is safe from anywhere.
+// candidates returns q's best contacts toward target — the Successors
+// entries of its successor list and fingers closest under the
+// predecessor metric, the compact closest_preceding_node. Executes on q's
+// shard; the rows are immutable after Bootstrap so the read is safe from
+// anywhere.
 func (c *CompactRing) candidates(q underlay.PeerID, target uint64) []underlay.PeerID {
-	out := make([]underlay.PeerID, 0, c.nSucc+c.nFing)
-	seen := func(p underlay.PeerID) bool {
-		for _, e := range out {
-			if e == p {
-				return true
-			}
-		}
-		return false
+	near := megascale.NewShortlist[underlay.PeerID](c.cfg.Successors, c.cfg.Successors)
+	for _, p := range c.succ[int(q)*c.nSucc : (int(q)+1)*c.nSucc] {
+		near.Add(underlay.PeerID(p), c.predDist(underlay.PeerID(p), target), false)
 	}
-	for s := 0; s < c.nSucc; s++ {
-		p := underlay.PeerID(c.succ[int(q)*c.nSucc+s])
-		if !seen(p) {
-			out = append(out, p)
-		}
+	for _, p := range c.fing[int(q)*c.nFing : (int(q)+1)*c.nFing] {
+		near.Add(underlay.PeerID(p), c.predDist(underlay.PeerID(p), target), false)
 	}
-	for j := 0; j < c.nFing; j++ {
-		p := underlay.PeerID(c.fing[int(q)*c.nFing+j])
-		if !seen(p) {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		di, dj := c.predDist(out[i], target), c.predDist(out[j], target)
-		if di != dj {
-			return di < dj
-		}
-		return out[i] < out[j]
-	})
-	k := c.cfg.Successors
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return near.AppendIDs(make([]underlay.PeerID, 0, near.Len()))
 }
 
 // PredecessorGlobal returns the id of target's exact ring predecessor —

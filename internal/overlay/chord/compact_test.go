@@ -12,7 +12,7 @@ import (
 
 // buildCompactRing wires a small sharded stack: star underlay, peer
 // table, partition, kernel, transport, ring.
-func buildCompactRing(t *testing.T, perAS, K int, seed uint64, aware bool) (*CompactRing, *transport.ShardedNet) {
+func buildCompactRing(t testing.TB, perAS, K int, seed uint64, aware bool) (*CompactRing, *transport.ShardedNet) {
 	t.Helper()
 	u := underlay.New()
 	transit := u.AddAS(underlay.TransitISP, 2)
@@ -185,5 +185,26 @@ func TestCompactRingAwareFingers(t *testing.T) {
 	anet.Kernel().Drain()
 	if rate := aware.Stats().SuccessRate(); rate != 1 {
 		t.Fatalf("aware ring exact rate %.4f != 1.0 on a static ring", rate)
+	}
+}
+
+// BenchmarkCompactChordLookup measures one warm megascale.Iter lookup on
+// a 4000-peer compact ring on one shard, run to completion: candidate
+// ranking at every hop, the transport sends and the kernel events.
+func BenchmarkCompactChordLookup(b *testing.B) {
+	c, net := buildCompactRing(b, 1000, 1, 7, false)
+	n := uint64(net.Peers().Len())
+	lookup := func(i int) {
+		p := underlay.PeerID(megascale.Mix64(uint64(i)) % n)
+		target := ID(megascale.Mix64(uint64(i) ^ 0xbe9c))
+		net.Kernel().Shard(net.ShardOf(p)).Schedule(0, func() { c.Lookup(p, target, nil) })
+		net.Kernel().Drain()
+	}
+	for i := 0; i < 200; i++ {
+		lookup(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lookup(i)
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"testing"
 
 	"unap2p/internal/core"
+	"unap2p/internal/megascale"
 	"unap2p/internal/sim"
 	"unap2p/internal/topology"
 	"unap2p/internal/transport"
+	"unap2p/internal/underlay"
 )
 
-func benchDHT(b *testing.B, pns bool) *DHT {
+func benchDHT(b testing.TB, pns bool) *DHT {
 	b.Helper()
 	src := sim.NewSource(1)
 	net := topology.TransitStub(topology.TransitStubConfig{
@@ -63,5 +65,26 @@ func BenchmarkObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.observe(contacts[i%len(contacts)])
+	}
+}
+
+// BenchmarkCompactKademliaLookup measures one warm megascale.Iter lookup
+// on a 4000-peer compact DHT on one shard, run to completion: candidate
+// ranking at every hop, the transport sends and the kernel events.
+func BenchmarkCompactKademliaLookup(b *testing.B) {
+	d, net := buildCompact(b, 1000, 1, 7)
+	n := uint64(net.Peers().Len())
+	lookup := func(i int) {
+		p := underlay.PeerID(megascale.Mix64(uint64(i)) % n)
+		target := NodeID(megascale.Mix64(uint64(i) ^ 0xbe9c))
+		net.Kernel().Shard(net.ShardOf(p)).Schedule(0, func() { d.Lookup(p, target, nil) })
+		net.Kernel().Drain()
+	}
+	for i := 0; i < 200; i++ {
+		lookup(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lookup(i)
 	}
 }

@@ -2,7 +2,6 @@ package kademlia
 
 import (
 	"math/bits"
-	"sort"
 
 	"unap2p/internal/megascale"
 	"unap2p/internal/transport"
@@ -82,7 +81,7 @@ func NewCompact(net *transport.ShardedNet, cfg CompactConfig, seed uint64, reqCl
 			return uint64(d.ids[q]) ^ target
 		},
 		Candidates: func(q underlay.PeerID, target uint64) []underlay.PeerID {
-			return d.closest(q, NodeID(target), d.cfg.K, nil)
+			return d.closest(q, NodeID(target), d.cfg.K)
 		},
 		Learn: d.Observe,
 		OK: func(best underlay.PeerID, target uint64) bool {
@@ -91,9 +90,6 @@ func NewCompact(net *transport.ShardedNet, cfg CompactConfig, seed uint64, reqCl
 	}
 	return d
 }
-
-// mix64 is the splitmix64 finalizer.
-func mix64(x uint64) uint64 { return megascale.Mix64(x) }
 
 // ID returns peer p's node id.
 func (d *CompactDHT) ID(p underlay.PeerID) NodeID { return d.ids[p] }
@@ -154,39 +150,30 @@ func (d *CompactDHT) Seed(seed uint64, fanout, near int) {
 // megascale contact mix (fanout 20, ring ±4).
 func (d *CompactDHT) Bootstrap(seed uint64) { d.Seed(seed, 20, 4) }
 
-// closest gathers up to k contacts from p's table nearest to target,
-// deterministically (scan buckets outward from the target's, stable
-// insertion by XOR distance).
-func (d *CompactDHT) closest(p underlay.PeerID, target NodeID, k int, out []underlay.PeerID) []underlay.PeerID {
-	out = out[:0]
-	self := d.ids[p]
-	start := d.bucketOf(Distance(self, target) | 1)
+// closest returns the k contacts in p's table nearest to target,
+// deterministically: it gathers buckets outward from the target's until
+// 4·k contacts are gathered, and ranks them by (XOR distance, peer).
+func (d *CompactDHT) closest(p underlay.PeerID, target NodeID, k int) []underlay.PeerID {
+	near := megascale.NewShortlist[underlay.PeerID](k, k)
+	gathered := 0
+	start := d.bucketOf(Distance(d.ids[p], target) | 1)
 	consider := func(b int) {
 		if b < 0 || b >= d.cfg.Buckets {
 			return
 		}
 		base := (int(p)*d.cfg.Buckets + b) * d.cfg.K
-		for i := 0; i < int(d.cnt[int(p)*d.cfg.Buckets+b]); i++ {
-			out = append(out, underlay.PeerID(d.rt[base+i]))
+		n := int(d.cnt[int(p)*d.cfg.Buckets+b])
+		for _, q := range d.rt[base : base+n] {
+			near.Add(underlay.PeerID(q), Distance(d.ids[q], target), false)
 		}
+		gathered += n
 	}
 	consider(start)
-	for off := 1; off < d.cfg.Buckets && len(out) < 4*k; off++ {
+	for off := 1; off < d.cfg.Buckets && gathered < 4*k; off++ {
 		consider(start - off)
 		consider(start + off)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		di := Distance(d.ids[out[i]], target)
-		dj := Distance(d.ids[out[j]], target)
-		if di != dj {
-			return di < dj
-		}
-		return out[i] < out[j]
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return near.AppendIDs(make([]underlay.PeerID, 0, near.Len()))
 }
 
 // ClosestGlobal returns the peer id globally XOR-closest to target —

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"unap2p/internal/churn"
+	"unap2p/internal/megascale"
 	"unap2p/internal/sim"
 	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
@@ -12,7 +13,7 @@ import (
 
 // buildCompact wires a small sharded stack: star underlay, peer table,
 // partition, kernel, transport, DHT.
-func buildCompact(t *testing.T, perAS, K int, seed uint64) (*CompactDHT, *transport.ShardedNet) {
+func buildCompact(t testing.TB, perAS, K int, seed uint64) (*CompactDHT, *transport.ShardedNet) {
 	t.Helper()
 	u := underlay.New()
 	transit := u.AddAS(underlay.TransitISP, 2)
@@ -62,7 +63,7 @@ func TestCompactClosestGlobalExact(t *testing.T) {
 	d, _ := buildCompact(t, 16, 1, 3)
 	// Brute force ground truth for a spread of targets.
 	for i := 0; i < 200; i++ {
-		target := NodeID(mix64(uint64(i) ^ 0xfeed))
+		target := NodeID(megascale.Mix64(uint64(i) ^ 0xfeed))
 		var best NodeID
 		bd := ^uint64(0)
 		for p := range d.ids {
@@ -83,7 +84,7 @@ func TestCompactLookupConverges(t *testing.T) {
 	pt := net.Peers()
 	for p := 0; p < pt.Len(); p++ {
 		p := underlay.PeerID(p)
-		target := NodeID(mix64(uint64(p) ^ 0xabcd))
+		target := NodeID(megascale.Mix64(uint64(p) ^ 0xabcd))
 		net.Kernel().Shard(net.ShardOf(p)).Schedule(sim.Duration(p)/16, func() {
 			d.Lookup(p, target, nil)
 		})
@@ -118,7 +119,7 @@ func TestCompactLookupDeterministicPerK(t *testing.T) {
 		drv.Start()
 		for p := 0; p < pt.Len(); p += 3 {
 			p := underlay.PeerID(p)
-			target := NodeID(mix64(uint64(p) ^ 0x777))
+			target := NodeID(megascale.Mix64(uint64(p) ^ 0x777))
 			net.Kernel().Shard(net.ShardOf(p)).Schedule(sim.Duration(p), func() {
 				d.Lookup(p, target, nil)
 			})

@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"unap2p/internal/core"
+	"unap2p/internal/megascale"
 	"unap2p/internal/metrics"
 	"unap2p/internal/transport"
 	"unap2p/internal/underlay"
@@ -204,24 +205,15 @@ func (n *Node) observe(c Contact) {
 	n.stash(idx, c)
 }
 
-// closest returns up to k contacts from n's table nearest to target,
-// including n itself as a candidate the caller may use.
+// closest returns up to k contacts from n's table nearest to target.
 func (n *Node) closest(target NodeID, k int) []Contact {
-	var all []Contact
+	near := megascale.NewShortlist[NodeID](k, k)
 	for _, b := range n.buckets {
-		all = append(all, b...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		di, dj := Distance(all[i].ID, target), Distance(all[j].ID, target)
-		if di != dj {
-			return di < dj
+		for _, c := range b {
+			near.Add(c.ID, Distance(c.ID, target), false)
 		}
-		return all[i].ID < all[j].ID
-	})
-	if len(all) > k {
-		all = all[:k]
 	}
-	return all
+	return n.dht.contacts(&near)
 }
 
 // BucketFill reports the total number of routing-table entries (test and

@@ -1,8 +1,9 @@
 package kademlia
 
 import (
-	"sort"
+	"slices"
 
+	"unap2p/internal/megascale"
 	"unap2p/internal/sim"
 	"unap2p/internal/underlay"
 )
@@ -49,62 +50,36 @@ func (d *DHT) lookup(from underlay.HostID, target NodeID, valueKey *Key) LookupR
 	}
 
 	var res LookupResult
-	queried := map[NodeID]bool{origin.ID: true}
-
-	type cand struct {
-		c Contact
-		d uint64
-	}
-	var shortlist []cand
+	// Only the K best candidates are ever queried or returned, and the K
+	// best seen only get closer, so the shortlist keeps K. The origin is
+	// listed as queried when a reply names it: it may be among the
+	// closest, but it does not query itself.
+	short := megascale.NewShortlist[NodeID](d.Cfg.K, d.Cfg.K)
 	addCand := func(c Contact) {
-		for _, have := range shortlist {
-			if have.c.ID == c.ID {
-				return
-			}
-		}
-		shortlist = append(shortlist, cand{c: c, d: Distance(c.ID, target)})
+		short.Add(c.ID, Distance(c.ID, target), c.ID == origin.ID)
 	}
 	for _, c := range origin.closest(target, d.Cfg.K) {
 		addCand(c)
 	}
 
-	sortShort := func() {
-		sort.Slice(shortlist, func(i, j int) bool {
-			if shortlist[i].d != shortlist[j].d {
-				return shortlist[i].d < shortlist[j].d
-			}
-			return shortlist[i].c.ID < shortlist[j].c.ID
-		})
-	}
-	topContacts := func() []Contact {
-		out := make([]Contact, 0, d.Cfg.K)
-		for i := 0; i < len(shortlist) && i < d.Cfg.K; i++ {
-			out = append(out, shortlist[i].c)
-		}
-		return out
-	}
-
+	batch := make([]NodeID, 0, d.Cfg.Alpha)
 	for {
-		sortShort()
 		// Pick up to α unqueried candidates among the K best.
-		var batch []Contact
-		limit := len(shortlist)
-		if limit > d.Cfg.K {
-			limit = d.Cfg.K
-		}
-		for i := 0; i < limit && len(batch) < d.Cfg.Alpha; i++ {
-			if !queried[shortlist[i].c.ID] {
-				batch = append(batch, shortlist[i].c)
+		batch = batch[:0]
+		for len(batch) < d.Cfg.Alpha {
+			id, ok := short.Next(nil)
+			if !ok {
+				break
 			}
+			batch = append(batch, id)
 		}
 		if len(batch) == 0 {
 			break
 		}
 		res.Hops++
 		var roundLatency sim.Duration
-		for _, c := range batch {
-			queried[c.ID] = true
-			peer := d.byID[c.ID]
+		for _, id := range batch {
+			peer := d.byID[id]
 			if peer == nil || !peer.host.Up {
 				continue // dead contact: RPC times out, contributes nothing
 			}
@@ -128,8 +103,7 @@ func (d *DHT) lookup(from underlay.HostID, target NodeID, valueKey *Key) LookupR
 					res.Latency += roundLatency
 					res.Value = v
 					res.Found = true
-					sortShort()
-					res.Closest = topContacts()
+					res.Closest = d.contacts(&short)
 					return res
 				}
 			}
@@ -141,9 +115,17 @@ func (d *DHT) lookup(from underlay.HostID, target NodeID, valueKey *Key) LookupR
 		res.Latency += roundLatency
 	}
 
-	sortShort()
-	res.Closest = topContacts()
+	res.Closest = d.contacts(&short)
 	return res
+}
+
+// contacts resolves a shortlist's node ids to contacts, nearest first.
+func (d *DHT) contacts(short *megascale.Shortlist[NodeID]) []Contact {
+	out := make([]Contact, 0, short.Len())
+	for _, id := range short.AppendIDs(nil) {
+		out = append(out, d.byID[id].Contact)
+	}
+	return out
 }
 
 // Put stores value under key on the K closest nodes found by a lookup
@@ -173,19 +155,9 @@ func (d *DHT) Put(from underlay.HostID, key Key, value []byte) LookupResult {
 // withinKClosest reports whether id is among the true K closest node IDs
 // to key (global knowledge used only for the origin's self-store check).
 func withinKClosest(d *DHT, key Key, id NodeID) bool {
-	type nd struct {
-		id NodeID
-		d  uint64
-	}
-	all := make([]nd, 0, len(d.sorted))
+	near := megascale.NewShortlist[NodeID](d.Cfg.K, d.Cfg.K)
 	for _, n := range d.sorted {
-		all = append(all, nd{id: n.ID, d: Distance(n.ID, key)})
+		near.Add(n.ID, Distance(n.ID, key), false)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].d < all[j].d })
-	for i := 0; i < len(all) && i < d.Cfg.K; i++ {
-		if all[i].id == id {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(near.AppendIDs(nil), id)
 }

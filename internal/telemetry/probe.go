@@ -270,14 +270,6 @@ func (p *Probe) ObserveHealth(name string, stats func() map[string]float64) {
 	p.mu.Unlock()
 }
 
-// ObserveReporter is ObserveHealth for values satisfying HealthReporter.
-func (p *Probe) ObserveReporter(name string, hr HealthReporter) {
-	if hr == nil {
-		return
-	}
-	p.ObserveHealth(name, hr.HealthStats)
-}
-
 // Sample takes one sample immediately: the recorder's full metrics
 // snapshot flattened to scalars, every health source, and each churn
 // driver's live population. Kernel-driven ticks call it automatically;

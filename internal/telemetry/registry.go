@@ -132,7 +132,6 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*metrics.CounterSet
 	histograms map[string]*metrics.Histogram
-	matrices   map[string]*metrics.TrafficMatrix
 	gauges     map[string]func() float64
 }
 
@@ -141,7 +140,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   map[string]*metrics.CounterSet{},
 		histograms: map[string]*metrics.Histogram{},
-		matrices:   map[string]*metrics.TrafficMatrix{},
 		gauges:     map[string]func() float64{},
 	}
 }
@@ -151,9 +149,6 @@ func (r *Registry) checkFresh(name string) {
 		panic("telemetry: duplicate metric name " + name)
 	}
 	if _, ok := r.histograms[name]; ok {
-		panic("telemetry: duplicate metric name " + name)
-	}
-	if _, ok := r.matrices[name]; ok {
 		panic("telemetry: duplicate metric name " + name)
 	}
 	if _, ok := r.gauges[name]; ok {
@@ -178,14 +173,6 @@ func (r *Registry) RegisterHistogram(name string, h *metrics.Histogram) {
 	r.histograms[name] = h
 }
 
-// RegisterMatrix registers a live traffic matrix under name.
-func (r *Registry) RegisterMatrix(name string, m *metrics.TrafficMatrix) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkFresh(name)
-	r.matrices[name] = m
-}
-
 // RegisterGauge registers a gauge function sampled at snapshot time.
 func (r *Registry) RegisterGauge(name string, fn func() float64) {
 	r.mu.Lock()
@@ -206,9 +193,6 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	}
 	for name, h := range r.histograms {
 		s.Histograms[name] = h.Snapshot()
-	}
-	for name, m := range r.matrices {
-		s.Matrices[name] = m.Snapshot()
 	}
 	for name, fn := range r.gauges {
 		s.Gauges[name] = fn()

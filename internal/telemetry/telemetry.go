@@ -1,5 +1,5 @@
 // Package telemetry is the observability subsystem of unap2p: run
-// recording, metrics export, and span tracing over simulated time.
+// recording and metrics export over simulated time.
 //
 // The paper's §3.2 and Table 2 insist that the *cost* of underlay
 // awareness — probe traffic, oracle load, coordinate maintenance — be
@@ -7,16 +7,13 @@
 // counters and histograms, selector overhead counters); this package
 // makes them persistent and comparable:
 //
-//   - Recorder — a bounded-ring event bus fed by transport traces,
-//     churn/mobility transitions, and span flushes, draining to a JSONL
+//   - Recorder — a bounded-ring event bus fed by transport traces and
+//     churn/mobility transitions, draining to a JSONL
 //     run file together with a run Manifest (experiment, seed, scale)
 //     and a closing metrics Summary (counter / histogram / traffic-matrix
 //     snapshots, kernel statistics).
 //   - Registry / MetricsSnapshot — freeze metrics.CounterSet, Histogram,
 //     and TrafficMatrix into JSON and Prometheus text-format exports.
-//   - SpanTracer — sim-time span trees for per-query latency breakdowns
-//     (a Kademlia lookup as a tree of hop spans), with a Messenger
-//     wrapper that spans every transport operation.
 //
 // Telemetry is strictly opt-in and a pure observer: it draws no
 // randomness, perturbs no schedule, and mutates nothing it watches, so
@@ -38,7 +35,6 @@ const (
 	CatTransport = "transport" // one overlay message (possibly dropped)
 	CatChurn     = "churn"     // a session transition (type "join"/"leave")
 	CatMobility  = "mobility"  // a handover (type "move")
-	CatSpan      = "span"      // a flushed tracer span (type = span name)
 )
 
 // Event is one telemetry record on the run timeline.
@@ -48,21 +44,19 @@ type Event struct {
 	// Cat is the event category (Cat* constants).
 	Cat string `json:"cat"`
 	// Type refines the category: the message type for transport events,
-	// "join"/"leave" for churn, "move" for mobility, the span name for
-	// spans.
+	// "join"/"leave" for churn, "move" for mobility.
 	Type string `json:"type"`
 	// From and To are host IDs (-1 when not applicable).
 	From int `json:"from"`
 	To   int `json:"to"`
 	// Bytes is the payload size for transport events.
 	Bytes uint64 `json:"bytes,omitempty"`
-	// Latency is the one-way latency for transport events and the total
-	// duration for span events, in simulated milliseconds.
+	// Latency is the one-way latency for transport events, in simulated
+	// milliseconds.
 	Latency sim.Duration `json:"latency_ms,omitempty"`
 	// Dropped marks a message discarded by fault injection.
 	Dropped bool `json:"dropped,omitempty"`
-	// Detail carries free-form context (e.g. "as3→as7" for a handover or
-	// the parent path for a span).
+	// Detail carries free-form context (e.g. "as3→as7" for a handover).
 	Detail string `json:"detail,omitempty"`
 }
 

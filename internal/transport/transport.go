@@ -9,7 +9,7 @@
 //	transport.Transport ── THIS LAYER: counts, traces, injects faults
 //	overlays (gnutella, kademlia, chord, …) ── protocol logic only
 //	metrics ── counters, histograms, AS-pair traffic matrices
-//	telemetry ── observes it all: run recording, span tracing, exports
+//	telemetry ── observes it all: run recording, exports
 //
 // Every overlay message — one-way sends, request/reply round trips, and
 // latency probes — goes through a Transport, which provides:
@@ -528,15 +528,6 @@ func (t *Transport) AllStats() []Stats {
 		out = append(out, t.StatsFor(n))
 	}
 	return out
-}
-
-// TotalBytes returns delivered bytes across all message types.
-func (t *Transport) TotalBytes() uint64 {
-	var sum uint64
-	for _, st := range t.types {
-		sum += st.bytes
-	}
-	return sum
 }
 
 // IntraFraction returns the intra-AS share of all delivered bytes in
