@@ -4,10 +4,10 @@ GO ?= go
 # for publication-quality numbers.
 BENCHTIME ?= 100ms
 
-.PHONY: ci vet build test race bench bench-json perf-gate cover loc series-demo chaos fuzz-smoke megascale-smoke net-smoke live-chaos
+.PHONY: ci vet build perfbench-build test race bench bench-json perf-gate cover loc series-demo chaos fuzz-smoke megascale-smoke net-smoke live-chaos
 
 # ci is the full verification gate: static analysis, a clean build of
-# every package, the test suite under the race detector, the chaos
+# every package and of the benchmark harness, the test suite under the race detector, the chaos
 # suite, fuzz smokes of the schedule parser, the XOR ground-truth trie
 # and the real-socket wire codec, an end-to-end smoke of the probe
 # plane (record → sample → series), a mid-size sharded-kernel run of
@@ -17,7 +17,7 @@ BENCHTIME ?= 100ms
 # clusters), and the perf gate (fails on >15% ns/op or allocs/op
 # regression against the baseline snapshot). The coverage summary and
 # the line count run afterwards as non-fatal reporting steps.
-ci: vet build race chaos fuzz-smoke series-demo megascale-smoke net-smoke live-chaos perf-gate
+ci: vet build perfbench-build race chaos fuzz-smoke series-demo megascale-smoke net-smoke live-chaos perf-gate
 	-$(MAKE) cover
 	-$(MAKE) loc
 
@@ -26,6 +26,13 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# perfbench-build vets and builds the benchmark harness. perfbench/ is a
+# module of its own (it replaces unap2p with this checkout), so ./...
+# above never compiles it; this step fails CI when a change to an API
+# the harness drives (nettransport, livenode, megascale, …) breaks it.
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
 
 test:
 	$(GO) test ./...

@@ -86,6 +86,32 @@ type Schedule struct {
 	Windows []Window
 }
 
+// drops is the one drop rule both injectors apply: whether a message
+// between an endpoint in AS fromAS and one in AS toAS is lost at
+// schedule time now. A partition drops traffic whose endpoints sit on
+// opposite sides of the cut; a loss burst drops traffic touching a
+// scoped AS with probability Loss, taking one draw from the caller's
+// stream per burst it consults. Windows are consulted in order and the
+// first drop wins, so the sequence of draws is fixed by the schedule.
+func (s Schedule) drops(now sim.Time, fromAS, toAS int, draw func() float64) bool {
+	for _, w := range s.Windows {
+		if !w.active(now) {
+			continue
+		}
+		switch w.Kind {
+		case ASPartition:
+			if w.scoped(fromAS) != w.scoped(toAS) {
+				return true
+			}
+		case LossBurst:
+			if w.Loss > 0 && (w.scoped(fromAS) || w.scoped(toAS)) && draw() < w.Loss {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Validate rejects schedules an Injector cannot arm: non-finite or
 // negative times, inverted intervals, out-of-range rates, empty
 // partition cuts, non-positive wave sizes.

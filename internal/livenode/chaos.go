@@ -146,7 +146,7 @@ func (m *Member) Revive() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cfg := m.cfg
-	cfg.Listen = "" // never reclaim the old port; peers relearn from frames
+	cfg.Listen = "" // never reclaim the old port; peers relearn it from the rejoin hellos
 	n, err := StartRetry(cfg, 5)
 	if err != nil {
 		return fmt.Errorf("livenode: revive %d: %w", m.cfg.ID, err)

@@ -1,11 +1,14 @@
 package livenode
 
 import (
+	"encoding/binary"
+	"math"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"unap2p/internal/nettransport"
 	"unap2p/internal/underlay"
 )
 
@@ -202,6 +205,56 @@ func TestClusterMetricsEndpoint(t *testing.T) {
 	if node.MetricsAddr() == "" {
 		t.Fatal("MetricsAddr empty with metrics enabled")
 	}
+}
+
+// TestHostileHelloIDs: one hello announce whose book names a huge id
+// and then a negative one must cost the node one book entry and one
+// detector stub, not a crash or a dense host table. The negative entry
+// is malformed and never merged; the node keeps serving and looking up.
+func TestHostileHelloIDs(t *testing.T) {
+	nodes := bootCluster(t, "kademlia", 2)
+	victim := nodes[0]
+	book := []byte{0, 0, 0, 2}
+	for _, id := range []int32{math.MaxInt32, -7} {
+		book = binary.BigEndian.AppendUint32(book, uint32(id))
+		book = append(append(book, 11), "127.0.0.1:9"...)
+	}
+	frame, err := nettransport.AppendFrame(nil, &nettransport.Frame{
+		Kind: nettransport.KindData, Type: "hello", From: 42, To: 0, Payload: book})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.WriteToUDP(frame, victim.Net().LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	// The huge id is merged and watched: its pings fail (nothing listens
+	// at its address), which takes the watch tick that used to panic.
+	awaitCluster(t, "the huge id is pinged", func() bool {
+		return victim.Detector().Counters().Value("ping_fail") > 0
+	})
+	time.Sleep(2 * 100 * time.Millisecond) // two more ping intervals
+
+	for _, id := range victim.Members() {
+		if id < 0 {
+			t.Fatalf("negative id %d entered the membership %v", id, victim.Members())
+		}
+	}
+	if _, ok := victim.Net().Book().Get(-7); ok {
+		t.Fatal("negative id entered the address book")
+	}
+	if n := len(victim.Net().Book().IDs()); n > 3 {
+		t.Fatalf("book holds %d ids, want at most the two members and the huge id", n)
+	}
+	var key [8]byte
+	if _, err := nodes[1].Net().Call(victim.Net().Self(), "kad:find_node", key[:]); err != nil {
+		t.Fatalf("node stopped serving after the hostile hello: %v", err)
+	}
+	victim.Engine().Lookup(NodeKey(1)) // returns, whatever it resolves
 }
 
 func TestNodeRejectsUnknownOverlay(t *testing.T) {

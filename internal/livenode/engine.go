@@ -401,7 +401,7 @@ func (e *gnutella) Name() string               { return "gnutella" }
 func (e *gnutella) Suspect(id underlay.HostID) { e.c.Suspect(id) }
 func (e *gnutella) Evict(id underlay.HostID)   { e.c.Evict(id) }
 
-func (e *gnutella) onQuery(from underlay.HostID, _ string, payload []byte) {
+func (e *gnutella) onQuery(from underlay.HostID, payload []byte) {
 	if len(payload) < gnuQueryLen {
 		return
 	}
@@ -421,7 +421,7 @@ func (e *gnutella) onQuery(from underlay.HostID, _ string, payload []byte) {
 		var hit [12]byte
 		binary.BigEndian.PutUint64(hit[:], qid)
 		binary.BigEndian.PutUint32(hit[8:], uint32(int32(e.c.Self)))
-		e.c.Net.SendPayload(origin, "gnu:hit", hit[:], 0)
+		e.c.Net.SendPayload(origin, "gnu:hit", hit[:])
 		e.c.Msgs.Get("gnu_answered").Inc()
 		return
 	}
@@ -454,12 +454,12 @@ func (e *gnutella) flood(payload []byte, sender, origin underlay.HostID) {
 	for i := 0; i < min(gnuFanout, n); i++ {
 		j := i + int(r%uint64(n-i))
 		peers[i], peers[j] = peers[j], peers[i]
-		e.c.Net.SendPayload(peers[i], "gnu:query", payload, 0)
+		e.c.Net.SendPayload(peers[i], "gnu:query", payload)
 		r = megascale.Mix64(r + 0x9e3779b97f4a7c15)
 	}
 }
 
-func (e *gnutella) onHit(from underlay.HostID, _ string, payload []byte) {
+func (e *gnutella) onHit(from underlay.HostID, payload []byte) {
 	if len(payload) < 12 {
 		return
 	}

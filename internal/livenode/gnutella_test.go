@@ -74,7 +74,7 @@ func TestGnutellaSeenBounded(t *testing.T) {
 		binary.BigEndian.PutUint32(q[8:], 3)  // target: another member
 		binary.BigEndian.PutUint32(q[12:], 0) // origin
 		q[16] = 1                             // last hop: counted, never relayed
-		e.onQuery(2, "gnu:query", q[:])
+		e.onQuery(2, q[:])
 	}
 	for gen := uint64(0); gen < 4; gen++ {
 		nodes[1].RunLookups(20)

@@ -104,7 +104,7 @@ func Start(cfg Config) (*Node, error) {
 		}
 		return tr.Book().Encode()
 	})
-	tr.HandleData("hello", func(from underlay.HostID, _ string, payload []byte) {
+	tr.HandleData("hello", func(from underlay.HostID, payload []byte) {
 		if _, err := tr.Book().Merge(payload); err != nil {
 			n.logf("livenode: bad hello announce from %d: %v", from, err)
 		}
@@ -193,7 +193,7 @@ func (n *Node) Join(bootstrap string) error {
 	book := n.net.Book().Encode()
 	for _, id := range n.net.Book().IDs() {
 		if id != n.cfg.ID {
-			n.net.SendPayload(id, "hello", book, 0)
+			n.net.SendPayload(id, "hello", book)
 		}
 	}
 	return nil

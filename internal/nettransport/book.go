@@ -13,10 +13,10 @@ import (
 
 // AddressBook maps cluster-wide host ids to UDP addresses — the live
 // counterpart of the simulated underlay's host table. It is written
-// concurrently by the join handshake and the receive loop (which learns
-// sender addresses) and read on every send, so access is guarded by a
-// read-write mutex; the entry set is tiny (one per peer), making
-// contention irrelevant next to the socket syscalls around it.
+// concurrently by the handlers that merge peers' book payloads (hello
+// announces, Kademlia replies) and read on every send, so access is
+// guarded by a read-write mutex; the entry set is tiny (one per peer),
+// making contention irrelevant next to the socket syscalls around it.
 //
 // Entries are netip.AddrPort values, stored unmapped so an IPv4 peer
 // seen through a dual-stack socket (::ffff:a.b.c.d) is the same entry
@@ -64,15 +64,15 @@ func (b *AddressBook) Set(id underlay.HostID, addr *net.UDPAddr) bool {
 
 // SetAddrPort records (or replaces) the address for id, reporting
 // whether the entry changed; an invalid address is ignored. Last write
-// wins: a peer that rebinds (NAT, restart) overwrites its stale entry
-// the moment any frame arrives from it.
+// wins: a peer that rebinds (restart on a fresh port) overwrites its
+// stale entry with the first book that carries the new address.
 func (b *AddressBook) SetAddrPort(id underlay.HostID, addr netip.AddrPort) bool {
 	addr = unmapped(addr)
 	if !addr.Addr().IsValid() {
 		return false
 	}
-	// Nearly every call refreshes an entry that is already current (the
-	// receive loop learns every frame's sender), so check under the read
+	// Most calls refresh an entry that is already current (every merge
+	// repeats the entries a peer already knows), so check under the read
 	// lock first.
 	b.mu.RLock()
 	old, ok := b.addrs[id]
@@ -192,9 +192,10 @@ type PeerEntry struct {
 }
 
 // DecodePeers parses an Encode/EncodeIDs payload. Malformed input
-// returns an error, never panics. Addresses must be numeric ip:port
-// text, exactly what Encode writes: a peer's payload is network input,
-// so a host or service name is rejected rather than looked up.
+// returns an error, never panics. A peer's payload is network input:
+// ids must be non-negative, as every cluster id is, and addresses must
+// be numeric ip:port text, exactly what Encode writes, so a host or
+// service name is rejected rather than looked up.
 func DecodePeers(p []byte) ([]PeerEntry, error) {
 	if len(p) < 4 {
 		return nil, ErrTruncated
@@ -214,6 +215,9 @@ func DecodePeers(p []byte) ([]PeerEntry, error) {
 			return entries, ErrTruncated
 		}
 		id := underlay.HostID(int32(binary.BigEndian.Uint32(p)))
+		if id < 0 {
+			return entries, fmt.Errorf("nettransport: negative host id %d in book", id)
+		}
 		alen := int(p[4])
 		p = p[5:]
 		if len(p) < alen {

@@ -2,6 +2,8 @@ package nettransport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"net"
 	"testing"
 
@@ -31,6 +33,13 @@ func FuzzDecodePeers(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 1})
 	f.Add([]byte{})
+	// A hostile hello book: a huge id, then a negative one.
+	hostile := []byte{0, 0, 0, 2}
+	for _, id := range []int32{math.MaxInt32, -7} {
+		hostile = binary.BigEndian.AppendUint32(hostile, uint32(id))
+		hostile = append(append(hostile, 11), "127.0.0.1:9"...)
+	}
+	f.Add(hostile)
 	for _, name := range []string{"localhost:4001", "127.0.0.1:http"} {
 		p := []byte{0, 0, 0, 1, 0, 0, 0, 9, byte(len(name))}
 		f.Add(append(p, name...))
@@ -42,6 +51,11 @@ func FuzzDecodePeers(f *testing.F) {
 		// in the buffer — the allocation bound in action.
 		if len(entries) > len(data)/5 {
 			t.Fatalf("%d entries decoded from %d bytes (min 5 bytes/entry)", len(entries), len(data))
+		}
+		for _, e := range entries {
+			if e.ID < 0 {
+				t.Fatalf("negative id %d decoded", e.ID)
+			}
 		}
 		if err != nil && len(entries) == 0 {
 			return // rejected outright, nothing more to check
@@ -63,17 +77,17 @@ func FuzzDecodePeers(f *testing.F) {
 	})
 }
 
-// FuzzWireCodec pins the two wire-codec safety properties the daemon
-// relies on: decode(encode(m)) == m for every encodable frame, and
-// DecodeFrame never panics on arbitrary bytes (a malformed datagram
-// must be droppable, not fatal).
+// FuzzWireCodec pins the wire-codec safety properties the daemon
+// relies on: DecodeFrame never panics on arbitrary bytes (a malformed
+// datagram must be droppable, not fatal), only message-table types
+// decode, and decode(encode(m)) == m for every encodable frame.
 func FuzzWireCodec(f *testing.F) {
 	// Seed with valid encodings so the fuzzer starts inside the format…
 	seeds := []Frame{
-		{Kind: KindData, Type: "data"},
+		{Kind: KindData, Type: "gnu:hit"},
 		{Kind: KindReq, Type: "fd_ping", From: 1, To: 2, ReqID: 9, RespBytes: 16},
 		{Kind: KindResp, Type: "fd_ack", From: 2, To: 1, ReqID: 9, Payload: []byte{1, 2, 3}},
-		{Kind: KindReq, Type: "weird/type", From: -1, To: 1 << 30, ReqID: ^uint64(0), Payload: []byte("p")},
+		{Kind: KindReq, Type: "hello", From: -1, To: 1 << 30, ReqID: ^uint64(0), Payload: []byte("p")},
 	}
 	for _, s := range seeds {
 		b, err := AppendFrame(nil, &s)
@@ -82,7 +96,12 @@ func FuzzWireCodec(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	// …and with raw garbage so it also explores the reject paths.
+	// …and with raw garbage so it also explores the reject paths: among
+	// them a type in wire version 1's inline-string form, which the
+	// closed table no longer admits.
+	inline := []byte{magic0, magic1, wireVersion, byte(KindReq), 0xFF, 10}
+	inline = append(inline, "weird/type"...)
+	f.Add(append(inline, make([]byte, headerLen-5)...))
 	f.Add([]byte{})
 	f.Add([]byte{magic0, magic1, wireVersion, 0, 0xFF, 200})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
@@ -94,7 +113,11 @@ func FuzzWireCodec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Property 2: anything that decodes must re-encode and decode back
+		// Property 2: only table types decode.
+		if int(data[4]) >= len(msgTable) {
+			t.Fatalf("type id %d outside the %d-row table decoded as %q", data[4], len(msgTable), frame.Type)
+		}
+		// Property 3: anything that decodes must re-encode and decode back
 		// to the same frame — the codec is a bijection on its valid set.
 		buf, err := AppendFrame(nil, &frame)
 		if err != nil {

@@ -37,37 +37,29 @@ type Config struct {
 // Net (the Gnutella flood relays queries this way).
 type Handler func(from underlay.HostID, payload []byte) []byte
 
-// DataHandler observes one-way KindData frames (no response).
-type DataHandler func(from underlay.HostID, msgType string, payload []byte)
+// DataHandler observes one-way KindData frames (no response) of the
+// type it was registered for.
+type DataHandler func(from underlay.HostID, payload []byte)
 
-// Net is the real-socket transport.Messenger: the same interface the
-// simulated Transport implements, carried over UDP datagrams between
-// actual processes. Differences from the sim backend, by design:
+// Net is the live plane's UDP RPC transport: payload requests with
+// their replies (Call, CallAt), one-way frames (SendPayload), and the
+// failure detector's byte-accounted pings (RoundTripWith), all carried
+// as datagrams between actual processes. Every type it sends or accepts
+// is a row of the closed message table (msgTable).
 //
-//   - Time is wall-clock. Send cannot know a one-way latency, so its
-//     Result.Latency is 0; RoundTrip and Probe report the measured RTT
-//     in sim.Duration milliseconds (float).
-//   - There is no global purity: loss is real loss, latency is real
-//     latency, and runs are not reproducible per seed.
-//   - Topology is flat: the local underlay stub has a single AS, so the
-//     intra-AS accounting planes see every byte as intra. The address
-//     book, not the underlay, is the source of reachability.
-//
-// Everything else — per-type counters, RTT histograms, traffic matrices,
-// RetryPolicy semantics — feeds the same metrics planes the sim backend
-// feeds, which is what makes /metrics on a live node comparable with a
-// recorded simulation.
+// Time is wall-clock: loss is real loss, latency is real latency, and
+// runs are not reproducible per seed. The per-type counters and the RTT
+// histogram feed the same metrics planes the sim backend feeds, which is
+// what makes /metrics on a live node comparable with a recorded
+// simulation.
 type Net struct {
 	cfg  Config
 	conn *net.UDPConn
 	book *AddressBook
 
-	// u is the local underlay stub: one AS, one Host per known peer, all
-	// permanently Up. It satisfies topology queries from components built
-	// against the sim backend; Host pointers stay valid forever.
-	u      *underlay.Network
-	as0    *underlay.AS
+	// hosts holds the failure detector's per-peer stubs (see Host).
 	hostMu sync.Mutex
+	hosts  map[underlay.HostID]*underlay.Host
 
 	// kernel, when attached, is the wall-clock-paced sim kernel that
 	// sim-time components (resilience.Detector) schedule on.
@@ -76,16 +68,14 @@ type Net struct {
 	msgs *metrics.CounterSet
 	rtt  *metrics.Histogram
 
-	matMu    sync.Mutex
-	matrices map[string]*metrics.TrafficMatrix
-
 	reqID   atomic.Uint64
 	waitMu  sync.Mutex
 	waiters map[uint64]chan Frame
 
+	// handlers and onData are indexed by message-table id.
 	handMu   sync.RWMutex
-	handlers map[string]Handler
-	onData   map[string]DataHandler
+	handlers []Handler
+	onData   []DataHandler
 
 	// dropRx, when set, discards matching inbound frames before any
 	// processing — the test hook for forcing timeouts and retries
@@ -95,8 +85,6 @@ type Net struct {
 	closed atomic.Bool
 	wg     sync.WaitGroup
 }
-
-var _ transport.Messenger = (*Net)(nil)
 
 // Listen binds the UDP socket and starts the receive loop.
 func Listen(cfg Config) (*Net, error) {
@@ -118,16 +106,13 @@ func Listen(cfg Config) (*Net, error) {
 		cfg:      cfg,
 		conn:     conn,
 		book:     NewAddressBook(),
-		u:        underlay.New(),
+		hosts:    make(map[underlay.HostID]*underlay.Host),
 		msgs:     metrics.NewCounterSet(),
 		rtt:      metrics.NewLatencyHistogram(),
-		matrices: make(map[string]*metrics.TrafficMatrix),
 		waiters:  make(map[uint64]chan Frame),
-		handlers: make(map[string]Handler),
-		onData:   make(map[string]DataHandler),
+		handlers: make([]Handler, len(msgTable)),
+		onData:   make([]DataHandler, len(msgTable)),
 	}
-	n.as0 = n.u.AddAS(underlay.LocalISP, 0)
-	n.Host(cfg.Self) // materialize self
 	n.wg.Add(1)
 	go n.receiveLoop()
 	return n, nil
@@ -146,22 +131,44 @@ func (n *Net) Book() *AddressBook { return n.book }
 // Call before handing the Net to kernel-requiring components.
 func (n *Net) AttachKernel(k *sim.Kernel) { n.kernel = k }
 
+// Kernel returns the attached wall-clock-paced kernel (nil before
+// AttachKernel).
+func (n *Net) Kernel() *sim.Kernel { return n.kernel }
+
 // RTT exposes the round-trip latency histogram (milliseconds).
 func (n *Net) RTT() *metrics.Histogram { return n.rtt }
 
+// Counters exposes the per-message-type counters: "<type>" counts frames
+// sent, "<type>_bytes" their accounted payload bytes, "<type>_rx" frames
+// received, plus the net_* transport internals (net_retry, net_timeout,
+// net_rx_bad, net_rx_drop, net_tx_err). Every type is a message-table
+// row, so the set of names is bounded whatever the network sends.
+func (n *Net) Counters() *metrics.CounterSet { return n.msgs }
+
 // Handle registers fn for a request type. Registering twice replaces.
+// The type must be a table row that has a reply.
 func (n *Net) Handle(msgType string, fn Handler) {
+	t := mustRow(KindReq, msgType)
 	n.handMu.Lock()
-	n.handlers[msgType] = fn
+	n.handlers[t.id] = fn
 	n.handMu.Unlock()
 }
 
 // HandleData registers the observer for one-way frames of the given
-// type. Registering twice replaces.
+// table type. Registering twice replaces.
 func (n *Net) HandleData(msgType string, fn DataHandler) {
+	t := mustRow(KindData, msgType)
 	n.handMu.Lock()
-	n.onData[msgType] = fn
+	n.onData[t.id] = fn
 	n.handMu.Unlock()
+}
+
+func mustRow(k Kind, msgType string) *msgType {
+	t, err := row(k, msgType)
+	if err != nil {
+		panic(err)
+	}
+	return t
 }
 
 // SetDropRx installs (or, with nil, removes) an inbound drop filter:
@@ -187,76 +194,29 @@ func (n *Net) Close() error {
 	return err
 }
 
-// Host returns the local stub host for id, materializing it (and every
-// lower id) on first use. Pointers remain valid for the Net's lifetime.
+// Host returns the failure detector's stub for peer id: a Host carrying
+// that ID, permanently Up (the detector reads nothing else), created on
+// first use and stable for the Net's lifetime. Each id costs one map
+// entry, however large or sparse the ids a peer's book names.
 func (n *Net) Host(id underlay.HostID) *underlay.Host {
-	if id < 0 {
-		panic(fmt.Sprintf("nettransport: negative host id %d", id))
-	}
 	n.hostMu.Lock()
 	defer n.hostMu.Unlock()
-	for n.u.NumHosts() <= int(id) {
-		n.u.AddHost(n.as0, 0)
+	h := n.hosts[id]
+	if h == nil {
+		h = &underlay.Host{ID: id, Up: true}
+		n.hosts[id] = h
 	}
-	return n.u.Host(id)
+	return h
 }
 
-// --- transport.Messenger ---
-
-// Underlay returns the local stub network. Topology queries against it
-// are flat (one AS); the usual single-goroutine access rule applies, so
-// grow it only through Net.Host.
-func (n *Net) Underlay() *underlay.Network { return n.u }
-
-// Kernel returns the attached wall-clock-paced kernel (nil before
-// AttachKernel).
-func (n *Net) Kernel() *sim.Kernel { return n.kernel }
-
-// Counters exposes the per-message-type counters: "<type>" counts frames
-// sent, "<type>_bytes" their accounted payload bytes, "<type>_rx" frames
-// received, plus the net_* transport internals (net_retry, net_timeout,
-// net_rx_drop, net_tx_err).
-func (n *Net) Counters() *metrics.CounterSet { return n.msgs }
-
-// MatrixFor returns the traffic matrix shared by the given message types,
-// creating and registering one on first use — same sharing semantics as
-// the sim transport. With a single-AS stub every byte lands intra-AS.
-func (n *Net) MatrixFor(msgTypes ...string) *metrics.TrafficMatrix {
-	if len(msgTypes) == 0 {
-		panic("nettransport: MatrixFor needs at least one message type")
-	}
-	n.matMu.Lock()
-	defer n.matMu.Unlock()
-	var m *metrics.TrafficMatrix
-	for _, ty := range msgTypes {
-		if ex := n.matrices[ty]; ex != nil {
-			m = ex
-			break
-		}
-	}
-	if m == nil {
-		m = metrics.NewTrafficMatrix()
-	}
-	for _, ty := range msgTypes {
-		n.matrices[ty] = m
-	}
-	return m
-}
-
-// account charges one sent frame to the counter and matrix planes.
-func (n *Net) account(msgType string, bytes uint64) {
-	n.msgs.Get(msgType).Inc()
-	n.msgs.Get(msgType + "_bytes").Add(bytes)
-	n.matMu.Lock()
-	m := n.matrices[msgType]
-	n.matMu.Unlock()
-	if m != nil {
-		m.Add(n.as0.ID, n.as0.ID, bytes)
-	}
+// account charges one sent frame to its type's counters.
+func (n *Net) account(t *msgType, bytes uint64) {
+	n.msgs.Get(t.tx).Inc()
+	n.msgs.Get(t.txBytes).Add(bytes)
 }
 
 // padded returns a payload of the given accounted size, clamped to
-// MaxPayload so any Messenger byte count stays a single datagram. The
+// MaxPayload so a ping of any byte count stays a single datagram. The
 // accounting always records the requested size.
 func padded(bytes uint64) []byte {
 	if bytes == 0 {
@@ -268,20 +228,18 @@ func padded(bytes uint64) []byte {
 	return make([]byte, bytes)
 }
 
-// writeFrame encodes and transmits one frame to the book address of its
-// To field.
-func (n *Net) writeFrame(f *Frame) error {
-	addr, ok := n.book.Get(f.To)
+// addrOf returns the book address of a peer.
+func (n *Net) addrOf(id underlay.HostID) (netip.AddrPort, error) {
+	addr, ok := n.book.Get(id)
 	if !ok {
-		return fmt.Errorf("nettransport: no address for host %d", f.To)
+		return addr, fmt.Errorf("nettransport: no address for host %d", id)
 	}
-	return n.writeFrameTo(f, addr)
+	return addr, nil
 }
 
-// writeFrameTo encodes and transmits one frame to an explicit address.
+// writeFrameTo encodes and transmits one frame to addr.
 func (n *Net) writeFrameTo(f *Frame, addr netip.AddrPort) error {
-	// Sized for an inline type name too, so encoding allocates once.
-	buf, err := AppendFrame(make([]byte, 0, headerLen+1+len(f.Type)+len(f.Payload)), f)
+	buf, err := AppendFrame(make([]byte, 0, headerLen+len(f.Payload)), f)
 	if err != nil {
 		return err
 	}
@@ -289,38 +247,34 @@ func (n *Net) writeFrameTo(f *Frame, addr netip.AddrPort) error {
 	return err
 }
 
-// Send delivers one one-way message of the given type and size. The
-// message counts as sent once it leaves the socket; delivery is
-// unconfirmed (use RoundTrip for confirmation), so OK reports only that
-// a destination address existed and the write succeeded, and Latency is
-// always zero.
-func (n *Net) Send(from, to *underlay.Host, bytes uint64, msgType string) transport.Result {
-	return n.SendPayload(to.ID, msgType, padded(bytes), bytes)
-}
-
-// SendPayload is Send with an explicit payload (accounted at accountBytes
-// if non-zero, else at len(payload)).
-func (n *Net) SendPayload(to underlay.HostID, msgType string, payload []byte, accountBytes uint64) transport.Result {
-	if accountBytes == 0 {
-		accountBytes = uint64(len(payload))
+// SendPayload sends one one-way frame of a table type to a book peer.
+// Delivery is unconfirmed: a nil error reports only that the peer had an
+// address and the write succeeded.
+func (n *Net) SendPayload(to underlay.HostID, msgType string, payload []byte) error {
+	t, err := row(KindData, msgType)
+	if err != nil {
+		return err
 	}
-	n.account(msgType, accountBytes)
-	f := Frame{Kind: KindData, Type: msgType, From: n.cfg.Self, To: to, Payload: payload}
-	if err := n.writeFrame(&f); err != nil {
+	n.account(t, uint64(len(payload)))
+	addr, err := n.addrOf(to)
+	if err == nil {
+		f := Frame{Kind: KindData, Type: t.name, From: n.cfg.Self, To: to, Payload: payload}
+		err = n.writeFrameTo(&f, addr)
+	}
+	if err != nil {
 		n.msgs.Get("net_tx_err").Inc()
-		return transport.Result{}
 	}
-	return transport.Result{OK: true}
+	return err
 }
 
 // errTimeout marks an attempt that got no response within the deadline.
 var errTimeout = errors.New("nettransport: round trip timed out")
 
-// call performs one request/response attempt with the given payload,
+// call performs one request/response attempt of a table request type,
 // returning the response frame and the measured wall RTT. addr, when
 // valid, overrides the book lookup (the join handshake knows the
 // bootstrap's address before it knows its id).
-func (n *Net) call(to underlay.HostID, addr netip.AddrPort, msgType string, payload []byte, respBytes uint32, timeout time.Duration) (Frame, time.Duration, error) {
+func (n *Net) call(to underlay.HostID, addr netip.AddrPort, t *msgType, payload []byte, respBytes uint32) (Frame, time.Duration, error) {
 	id := n.reqID.Add(1)
 	ch := make(chan Frame, 1)
 	n.waitMu.Lock()
@@ -332,20 +286,21 @@ func (n *Net) call(to underlay.HostID, addr netip.AddrPort, msgType string, payl
 		n.waitMu.Unlock()
 	}()
 
-	f := Frame{Kind: KindReq, Type: msgType, From: n.cfg.Self, To: to,
+	f := Frame{Kind: KindReq, Type: t.name, From: n.cfg.Self, To: to,
 		ReqID: id, RespBytes: respBytes, Payload: payload}
 	start := time.Now()
-	var werr error
-	if addr.IsValid() {
-		werr = n.writeFrameTo(&f, addr)
-	} else {
-		werr = n.writeFrame(&f)
+	var err error
+	if !addr.IsValid() {
+		addr, err = n.addrOf(to)
 	}
-	if werr != nil {
+	if err == nil {
+		err = n.writeFrameTo(&f, addr)
+	}
+	if err != nil {
 		n.msgs.Get("net_tx_err").Inc()
-		return Frame{}, 0, werr
+		return Frame{}, 0, err
 	}
-	timer := time.NewTimer(timeout)
+	timer := time.NewTimer(n.cfg.Timeout)
 	defer timer.Stop()
 	select {
 	case resp := <-ch:
@@ -359,37 +314,32 @@ func (n *Net) call(to underlay.HostID, addr netip.AddrPort, msgType string, payl
 // ms converts a wall duration to sim.Duration milliseconds.
 func ms(d time.Duration) sim.Duration { return sim.Duration(float64(d) / float64(time.Millisecond)) }
 
-// RoundTrip sends a request and waits for its reply under a
-// single-attempt policy (the Messenger default), returning the measured
-// round-trip time.
-func (n *Net) RoundTrip(from, to *underlay.Host, reqBytes, respBytes uint64,
-	reqType, respType string) transport.Result {
-	return n.RoundTripWith(transport.RetryPolicy{}, from, to, reqBytes, respBytes, reqType, respType)
-}
-
-// RoundTripWith is RoundTrip under a caller-supplied retry policy. Each
-// attempt is a real datagram exchange bounded by the configured Timeout;
-// Backoff waits are real sleeps, charged into the successful Result's
-// Latency exactly as the sim backend charges them.
+// RoundTripWith is the failure detector's ping: a reqBytes request of
+// table type reqType to host to, answered by its table reply (respType
+// names it too, as the sim transport needs it named) padded to
+// respBytes. Each attempt is a real datagram exchange bounded by the
+// configured Timeout; Backoff waits are real sleeps, charged into the
+// successful Result's Latency exactly as the sim backend charges them.
+// The reported latency is the measured RTT in sim.Duration milliseconds.
 func (n *Net) RoundTripWith(p transport.RetryPolicy, from, to *underlay.Host,
 	reqBytes, respBytes uint64, reqType, respType string) transport.Result {
-	rb := respBytes
-	if rb > MaxPayload {
-		rb = MaxPayload
+	t, err := row(KindReq, reqType)
+	if err != nil {
+		return transport.Result{}
 	}
+	rb := min(respBytes, MaxPayload)
 	var waited sim.Duration
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			n.msgs.Get("net_retry").Inc()
 		}
-		n.account(reqType, reqBytes)
-		resp, rtt, err := n.call(to.ID, netip.AddrPort{}, reqType, padded(reqBytes), uint32(rb), n.cfg.Timeout)
+		n.account(t, reqBytes)
+		resp, rtt, err := n.call(to.ID, netip.AddrPort{}, t, padded(reqBytes), uint32(rb))
 		if err == nil {
 			// The reply leg is charged on the receiver side when it sends;
-			// account the received reply here so this process's planes see
-			// both directions of its own round trips.
-			n.msgs.Get(respType + "_rx").Inc()
-			n.msgs.Get(respType + "_rx_bytes").Add(uint64(len(resp.Payload)))
+			// count the received reply's bytes here so this process's
+			// planes see both directions of its own pings.
+			n.msgs.Get(msgTable[t.reply].rxBytes).Add(uint64(len(resp.Payload)))
 			lat := ms(rtt)
 			n.rtt.Observe(float64(lat))
 			return transport.Result{Latency: waited + lat, OK: true}
@@ -405,13 +355,6 @@ func (n *Net) RoundTripWith(p transport.RetryPolicy, from, to *underlay.Host,
 	}
 }
 
-// Probe measures the RTT to a host with a probe/response pair of the
-// given size, counted under type "probe" — a real measurement of the
-// §3.2 kind, charging real measurement traffic.
-func (n *Net) Probe(from, to *underlay.Host, bytes uint64) transport.Result {
-	return n.RoundTrip(from, to, bytes, bytes, "probe", "probe")
-}
-
 // Call is the payload RPC the live overlay engines build on: request
 // payload out, response payload back, single attempt, default timeout.
 func (n *Net) Call(to underlay.HostID, msgType string, payload []byte) ([]byte, error) {
@@ -420,24 +363,29 @@ func (n *Net) Call(to underlay.HostID, msgType string, payload []byte) ([]byte, 
 
 // CallAt is Call aimed at an explicit UDP address instead of a book
 // entry — how a joining node reaches its bootstrap before learning its
-// id (the response frame's From field, which the receive loop also
-// learns into the book automatically).
+// id (the hello reply's book carries it).
 func (n *Net) CallAt(addr *net.UDPAddr, msgType string, payload []byte) ([]byte, error) {
 	return n.callObserved(-1, addrPortOf(addr), msgType, payload) // To = -1: id unknown
 }
 
 func (n *Net) callObserved(to underlay.HostID, addr netip.AddrPort, msgType string, payload []byte) ([]byte, error) {
-	n.account(msgType, uint64(len(payload)))
-	resp, rtt, err := n.call(to, addr, msgType, payload, 0, n.cfg.Timeout)
+	t, err := row(KindReq, msgType)
+	if err != nil {
+		return nil, err
+	}
+	n.account(t, uint64(len(payload)))
+	resp, rtt, err := n.call(to, addr, t, payload, 0)
 	if err != nil {
 		return nil, err
 	}
 	n.rtt.Observe(float64(ms(rtt)))
-	n.msgs.Get(resp.Type + "_rx").Inc()
 	return resp.Payload, nil
 }
 
-// receiveLoop drains the socket until Close.
+// receiveLoop drains the socket until Close. Addresses are never learned
+// here: a frame's From is a claim, and its source may be anyone's, so
+// only the book payloads the engines merge teach addresses. A request is
+// answered at the address it came from.
 func (n *Net) receiveLoop() {
 	defer n.wg.Done()
 	buf := make([]byte, 65536)
@@ -450,7 +398,8 @@ func (n *Net) receiveLoop() {
 			n.logf("nettransport: read: %v", err)
 			continue
 		}
-		f, err := DecodeFrame(buf[:nr])
+		var f Frame
+		t, err := decodeFrame(buf[:nr], &f)
 		if err != nil {
 			n.msgs.Get("net_rx_bad").Inc()
 			n.logf("nettransport: drop malformed frame from %v: %v", raddr, err)
@@ -460,33 +409,27 @@ func (n *Net) receiveLoop() {
 			n.msgs.Get("net_rx_drop").Inc()
 			continue
 		}
-		// Learn or refresh the sender's address from the packet source —
-		// a hello is therefore enough to become reachable cluster-wide.
-		if f.From >= 0 && f.From != n.cfg.Self {
-			n.book.SetAddrPort(f.From, raddr)
-		}
 		switch f.Kind {
 		case KindData:
-			n.msgs.Get(f.Type + "_rx").Inc()
-			n.msgs.Get(f.Type + "_rx_bytes").Add(uint64(len(f.Payload)))
+			n.msgs.Get(t.rx).Inc()
+			n.msgs.Get(t.rxBytes).Add(uint64(len(f.Payload)))
 			n.handMu.RLock()
-			onData := n.onData[f.Type]
+			onData := n.onData[t.id]
 			n.handMu.RUnlock()
 			if onData != nil {
-				fr := f
-				go onData(fr.From, fr.Type, fr.Payload)
+				go onData(f.From, f.Payload)
 			}
 		case KindReq:
-			n.msgs.Get(f.Type + "_rx").Inc()
-			n.msgs.Get(f.Type + "_rx_bytes").Add(uint64(len(f.Payload)))
+			n.msgs.Get(t.rx).Inc()
+			n.msgs.Get(t.rxBytes).Add(uint64(len(f.Payload)))
 			n.handMu.RLock()
-			h := n.handlers[f.Type]
+			h := n.handlers[t.id]
 			n.handMu.RUnlock()
-			fr := f
 			if h == nil {
-				// No handler: honour the RoundTrip contract with a padded
-				// auto-reply of the requested size. Inline — no user code.
-				n.reply(&fr, padded(uint64(fr.RespBytes)))
+				// No handler: answer with a padded auto-reply of the
+				// requested size (the detector's fd_ping). Inline — no
+				// user code.
+				n.reply(&f, t, raddr, padded(uint64(f.RespBytes)))
 				continue
 			}
 			// Handlers run detached so they can issue nested calls
@@ -496,10 +439,10 @@ func (n *Net) receiveLoop() {
 				defer n.wg.Done()
 				defer func() {
 					if r := recover(); r != nil {
-						n.logf("nettransport: handler %s panicked: %v", fr.Type, r)
+						n.logf("nettransport: handler %s panicked: %v", t.name, r)
 					}
 				}()
-				n.reply(&fr, h(fr.From, fr.Payload))
+				n.reply(&f, t, raddr, h(f.From, f.Payload))
 			}()
 		case KindResp:
 			n.waitMu.Lock()
@@ -508,6 +451,7 @@ func (n *Net) receiveLoop() {
 			if ch != nil {
 				select {
 				case ch <- f:
+					n.msgs.Get(t.rx).Inc()
 				default: // duplicate response; first one won
 				}
 			}
@@ -515,33 +459,15 @@ func (n *Net) receiveLoop() {
 	}
 }
 
-// reply answers a KindReq frame. The response type is derived from the
-// request type when no specific response vocabulary applies: the well
-// known pairs (fd_ping→fd_ack, probe→probe) are honoured so counters on
-// both sides line up with the sim backend's naming.
-func (n *Net) reply(req *Frame, payload []byte) {
-	respType := responseType(req.Type)
-	n.account(respType, uint64(len(payload)))
-	f := Frame{Kind: KindResp, Type: respType, From: n.cfg.Self, To: req.From,
+// reply answers a request of table type t at the address it came from,
+// with the table's reply type.
+func (n *Net) reply(req *Frame, t *msgType, to netip.AddrPort, payload []byte) {
+	rt := &msgTable[t.reply]
+	n.account(rt, uint64(len(payload)))
+	f := Frame{Kind: KindResp, Type: rt.name, From: n.cfg.Self, To: req.From,
 		ReqID: req.ReqID, Payload: payload}
-	if err := n.writeFrame(&f); err != nil {
+	if err := n.writeFrameTo(&f, to); err != nil {
 		n.msgs.Get("net_tx_err").Inc()
-	}
-}
-
-// responseType maps a request type to its reply type.
-func responseType(reqType string) string {
-	switch reqType {
-	case "fd_ping":
-		return "fd_ack"
-	case "kad:find_node":
-		return "kad:nodes"
-	case "chord:find_succ":
-		return "chord:succ"
-	case "gnu:query":
-		return "gnu:hit"
-	default:
-		return reqType
 	}
 }
 

@@ -1,7 +1,14 @@
 package nettransport
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
 	"net"
+	"net/netip"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -48,66 +55,84 @@ func TestNetSendAccountsAndDelivers(t *testing.T) {
 	a, b := pair(t)
 
 	var mu sync.Mutex
-	var got []string
-	b.HandleData("gossip", func(from underlay.HostID, msgType string, payload []byte) {
+	var got []underlay.HostID
+	b.HandleData("gnu:query", func(from underlay.HostID, payload []byte) {
 		mu.Lock()
-		got = append(got, msgType)
+		got = append(got, from)
 		mu.Unlock()
 	})
 
-	res := a.Send(a.Host(a.Self()), a.Host(b.Self()), 100, "gossip")
-	if !res.OK {
-		t.Fatal("Send to known peer reported !OK")
+	if err := a.SendPayload(b.Self(), "gnu:query", make([]byte, 100)); err != nil {
+		t.Fatalf("SendPayload to known peer: %v", err)
 	}
-	if res.Latency != 0 {
-		t.Fatalf("one-way Send reported a latency (%v); real sockets cannot know it", res.Latency)
+	if n := a.Counters().Get("gnu:query").Value(); n != 1 {
+		t.Fatalf("sender gnu:query counter = %d, want 1", n)
 	}
-	if n := a.Counters().Get("gossip").Value(); n != 1 {
-		t.Fatalf("sender gossip counter = %d, want 1", n)
-	}
-	if n := a.Counters().Get("gossip_bytes").Value(); n != 100 {
-		t.Fatalf("sender gossip_bytes = %d, want 100", n)
+	if n := a.Counters().Get("gnu:query_bytes").Value(); n != 100 {
+		t.Fatalf("sender gnu:query_bytes = %d, want 100", n)
 	}
 	await(t, "data delivery", func() bool {
-		return b.Counters().Get("gossip_rx").Value() == 1
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == 1
 	})
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || got[0] != "gossip" {
-		t.Fatalf("data handler saw %v, want [gossip]", got)
+	if got[0] != a.Self() {
+		t.Fatalf("data handler saw sender %d, want %d", got[0], a.Self())
+	}
+	if n := b.Counters().Get("gnu:query_rx").Value(); n != 1 {
+		t.Fatalf("receiver gnu:query_rx = %d, want 1", n)
 	}
 
-	// Sending to a host with no book entry fails fast.
-	if res := a.Send(a.Host(a.Self()), a.Host(99), 10, "gossip"); res.OK {
-		t.Fatal("Send to unknown peer reported OK")
+	// Sending to a host with no book entry fails fast, and a type
+	// outside the message table is refused before it is counted.
+	if err := a.SendPayload(99, "gnu:query", nil); err == nil {
+		t.Fatal("SendPayload to unknown peer reported success")
 	}
+	if err := a.SendPayload(b.Self(), "gossip", nil); !errors.Is(err, ErrBadType) {
+		t.Fatalf("SendPayload of a type outside the table: %v, want ErrBadType", err)
+	}
+	if n := a.Counters().Value("gossip"); n != 0 {
+		t.Fatalf("refused type was counted: gossip = %d", n)
+	}
+}
+
+// ping is the failure detector's single-attempt fd_ping round trip.
+func ping(src, dst *Net, reqBytes, respBytes uint64) transport.Result {
+	return src.RoundTripWith(transport.RetryPolicy{}, src.Host(src.Self()), src.Host(dst.Self()),
+		reqBytes, respBytes, "fd_ping", "fd_ack")
 }
 
 func TestNetRoundTripAutoReply(t *testing.T) {
 	a, b := pair(t)
-	res := a.RoundTrip(a.Host(a.Self()), a.Host(b.Self()), 64, 128, "probe", "probe")
+	res := ping(a, b, 64, 128)
 	if !res.OK {
-		t.Fatal("RoundTrip over loopback failed")
+		t.Fatal("RoundTripWith over loopback failed")
 	}
 	if res.Latency <= 0 {
-		t.Fatalf("RoundTrip latency %v, want > 0 (real RTT)", res.Latency)
+		t.Fatalf("RoundTripWith latency %v, want > 0 (real RTT)", res.Latency)
 	}
 	if n := a.RTT().N(); n != 1 {
 		t.Fatalf("RTT histogram holds %d samples, want 1", n)
 	}
-	// The responder charged the auto-reply on its own planes.
-	if n := b.Counters().Get("probe").Value(); n != 1 {
-		t.Fatalf("responder probe counter = %d, want 1", n)
+	// The responder charged the auto-reply on its own planes, under the
+	// table's reply type.
+	if n := b.Counters().Get("fd_ack").Value(); n != 1 {
+		t.Fatalf("responder fd_ack counter = %d, want 1", n)
 	}
-	if n := b.Counters().Get("probe_bytes").Value(); n != 128 {
+	if n := b.Counters().Get("fd_ack_bytes").Value(); n != 128 {
 		t.Fatalf("responder auto-reply bytes = %d, want 128 (RespBytes)", n)
 	}
-	// Probe is RoundTrip with probe/probe naming.
-	if res := a.Probe(a.Host(a.Self()), a.Host(b.Self()), 32); !res.OK {
-		t.Fatal("Probe failed")
+	if n := a.Counters().Get("fd_ack_rx_bytes").Value(); n != 128 {
+		t.Fatalf("caller fd_ack_rx_bytes = %d, want 128", n)
 	}
-	if n := a.Counters().Get("probe").Value(); n != 2 {
-		t.Fatalf("probe counter after Probe = %d, want 2", n)
+	if res := ping(a, b, 32, 32); !res.OK {
+		t.Fatal("second ping failed")
+	}
+	if n := a.Counters().Get("fd_ping").Value(); n != 2 {
+		t.Fatalf("fd_ping counter after two pings = %d, want 2", n)
+	}
+	if n := a.Counters().Get("fd_ack_rx").Value(); n != 2 {
+		t.Fatalf("fd_ack_rx after two pings = %d, want 2", n)
 	}
 }
 
@@ -143,9 +168,9 @@ func TestNetRoundTripTimesOut(t *testing.T) {
 	a, b := pair(t)
 	b.SetDropRx(func(f *Frame) bool { return true })
 	start := time.Now()
-	res := a.RoundTrip(a.Host(a.Self()), a.Host(b.Self()), 16, 16, "fd_ping", "fd_ack")
+	res := ping(a, b, 16, 16)
 	if res.OK {
-		t.Fatal("RoundTrip into a black hole reported OK")
+		t.Fatal("RoundTripWith into a black hole reported OK")
 	}
 	if elapsed := time.Since(start); elapsed < 200*time.Millisecond {
 		t.Fatalf("gave up after %v, before the 250ms attempt deadline", elapsed)
@@ -197,6 +222,11 @@ func TestNetDualStackPeer(t *testing.T) {
 	if _, err := v4.CallAt(loop, "kad:find_node", []byte("a")); err != nil {
 		t.Fatalf("IPv4 → dual-stack: %v", err)
 	}
+	// The dual-stack socket reports the IPv4 peer in mapped form; the
+	// book keeps it unmapped, so the IPv4 socket can be written to.
+	mapped := netip.AddrPortFrom(netip.MustParseAddr("::ffff:127.0.0.1"), uint16(v4.LocalAddr().Port))
+	dual.Book().SetAddrPort(v4.Self(), mapped)
+	v4.Book().Set(dual.Self(), loop)
 	learned, ok := dual.Book().Get(v4.Self())
 	if !ok || !learned.Addr().Is4() {
 		t.Fatalf("dual-stack book holds %v, %v for the IPv4 peer, want an IPv4 address", learned, ok)
@@ -219,21 +249,6 @@ func TestNetCallAtHostless(t *testing.T) {
 	}
 }
 
-func TestNetMatrixSharing(t *testing.T) {
-	a, b := pair(t)
-	m := a.MatrixFor("kad:find_node", "kad:nodes")
-	if a.MatrixFor("kad:nodes") != m {
-		t.Fatal("MatrixFor does not share matrices across grouped types")
-	}
-	a.RoundTrip(a.Host(a.Self()), a.Host(b.Self()), 40, 0, "kad:find_node", "kad:nodes")
-	if got := m.Total(); got != 40 {
-		t.Fatalf("matrix total = %d, want 40", got)
-	}
-	if !m.Conservation() {
-		t.Fatal("matrix cell sum does not match total")
-	}
-}
-
 // TestNetConcurrentRoundTrips hammers one socket pair from many
 // goroutines in both directions — the -race exercise for the receive
 // loop, waiter table, counters, and histograms.
@@ -251,8 +266,7 @@ func TestNetConcurrentRoundTrips(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				res := src.RoundTrip(src.Host(src.Self()), src.Host(dst.Self()), 32, 32, "probe", "probe")
-				if !res.OK {
+				if res := ping(src, dst, 32, 32); !res.OK {
 					failed.Store(w*1000+i, true)
 				}
 			}
@@ -323,21 +337,22 @@ func TestPacerDaemonEventsFire(t *testing.T) {
 	}
 }
 
-func TestNetImplementsMessenger(t *testing.T) {
-	var _ transport.Messenger = (*Net)(nil)
+// TestNetHostStubsAndKernel: Host hands the failure detector one
+// stable, Up stub per id, whatever the id; the kernel is the attached
+// one.
+func TestNetHostStubsAndKernel(t *testing.T) {
 	a, _ := pair(t)
-	if a.Underlay() == nil {
-		t.Fatal("nil underlay stub")
+	for _, id := range []underlay.HostID{5, -7, math.MaxInt32} {
+		h := a.Host(id)
+		if h == nil || h.ID != id || !h.Up {
+			t.Fatalf("Host(%d) returned %+v", id, h)
+		}
+		if a.Host(id) != h {
+			t.Fatalf("Host(%d) is not stable across calls", id)
+		}
 	}
-	h := a.Host(5)
-	if h == nil || h.ID != 5 || !h.Up {
-		t.Fatalf("Host(5) returned %+v", h)
-	}
-	if a.Underlay().NumHosts() != 6 {
-		t.Fatalf("underlay stub holds %d hosts, want 6 after Host(5)", a.Underlay().NumHosts())
-	}
-	if a.Host(5) != h {
-		t.Fatal("Host is not stable across calls")
+	if len(a.hosts) != 3 {
+		t.Fatalf("%d host stubs after three ids, want 3", len(a.hosts))
 	}
 	if a.Kernel() != nil {
 		t.Fatal("kernel non-nil before AttachKernel")
@@ -346,5 +361,131 @@ func TestNetImplementsMessenger(t *testing.T) {
 	a.AttachKernel(k)
 	if a.Kernel() != k {
 		t.Fatal("AttachKernel not reflected by Kernel()")
+	}
+}
+
+// rawSocket is a bare UDP socket standing in for a hostile peer: it
+// writes any bytes to a Net and reads what comes back.
+func rawSocket(t *testing.T) *net.UDPConn {
+	t.Helper()
+	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// readFrame waits for one frame on a raw socket.
+func readFrame(t *testing.T, c *net.UDPConn) Frame {
+	t.Helper()
+	buf := make([]byte, 65536)
+	c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	nr, err := c.Read(buf)
+	if err != nil {
+		t.Fatalf("no reply at the request's source address: %v", err)
+	}
+	f, err := DecodeFrame(buf[:nr])
+	if err != nil {
+		t.Fatalf("reply does not decode: %v", err)
+	}
+	return f
+}
+
+// TestSpoofedFromKeepsBook: a frame's From is a claim, not an address.
+// A third socket sends A requests that claim to come from B, and from a
+// host A has never heard of; A's book must keep B's real address, A
+// must still reach B, and both requests are answered at the source
+// they came from.
+func TestSpoofedFromKeepsBook(t *testing.T) {
+	a, b := pair(t)
+	before, _ := a.Book().Get(b.Self())
+	version := a.Book().Version()
+	mallory := rawSocket(t)
+	to := a.LocalAddr()
+	for i, from := range []underlay.HostID{b.Self(), 77} {
+		req := Frame{Kind: KindReq, Type: "fd_ping", From: from, To: a.Self(),
+			ReqID: uint64(100 + i), RespBytes: 8}
+		buf, err := AppendFrame(nil, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mallory.WriteToUDP(buf, to); err != nil {
+			t.Fatal(err)
+		}
+		resp := readFrame(t, mallory)
+		if resp.Kind != KindResp || resp.Type != "fd_ack" || resp.ReqID != req.ReqID ||
+			resp.To != from || len(resp.Payload) != 8 {
+			t.Fatalf("request claiming host %d: got %+v", from, resp)
+		}
+	}
+	if after, _ := a.Book().Get(b.Self()); after != before || a.Book().Version() != version {
+		t.Fatalf("spoofed frames rewrote A's book: B at %v, was %v", after, before)
+	}
+	if _, ok := a.Book().Get(77); ok {
+		t.Fatal("a request from an unknown sender added it to the book")
+	}
+	b.Handle("kad:find_node", func(_ underlay.HostID, p []byte) []byte { return p })
+	if _, err := a.Call(b.Self(), "kad:find_node", []byte("k")); err != nil {
+		t.Fatalf("A cannot reach B after the spoofed frames: %v", err)
+	}
+}
+
+// TestUnknownTypesMintNoCounters: a datagram may only touch the counters
+// the message table names. 2000 frames with made-up types — half in the
+// inline-string form wire version 1 accepted, half with ids past the
+// table — must all land in net_rx_bad and leave the counter set as it
+// was.
+func TestUnknownTypesMintNoCounters(t *testing.T) {
+	a, err := Listen(Config{Self: 0, Timeout: 250 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	c := rawSocket(t)
+	// received counts the frames the receive loop has taken in, whether
+	// it found them malformed or accepted them under some type.
+	received := func() (n uint64) {
+		for _, name := range a.Counters().Names() {
+			if name == "net_rx_bad" || strings.HasSuffix(name, "_rx") {
+				n += a.Counters().Value(name)
+			}
+		}
+		return n
+	}
+	sent := 0
+	send := func(b []byte) {
+		t.Helper()
+		if _, err := c.WriteToUDP(b, a.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+		sent++
+		// Stay well inside the socket buffer, so no datagram is lost.
+		if sent%50 == 0 {
+			await(t, "frames received", func() bool { return received() == uint64(sent) })
+		}
+	}
+	send([]byte("not a frame")) // first bad frame creates net_rx_bad
+	await(t, "net_rx_bad", func() bool { return a.Counters().Value("net_rx_bad") == 1 })
+	names := a.Counters().Names()
+
+	tail := make([]byte, 4+4+8+4+4) // from, to, reqid, respbytes, paylen 0
+	binary.BigEndian.PutUint32(tail, 9)
+	for i := 0; i < 2000; i++ {
+		frame := []byte{magic0, magic1, wireVersion, byte(KindData)}
+		if i%2 == 0 {
+			name := fmt.Sprintf("made-up/%d", i)
+			frame = append(append(frame, 0xFF, byte(len(name))), name...)
+		} else {
+			frame = append(frame, byte(len(msgTable)+i%(0xFF-len(msgTable))))
+		}
+		send(append(frame, tail...))
+	}
+	await(t, "all frames received", func() bool { return received() == 2001 })
+	if got := a.Counters().Names(); !slices.Equal(got, names) {
+		t.Fatalf("made-up types changed the counter set: %d names before, %d after", len(names), len(got))
+	}
+	if n := a.Counters().Value("net_rx_bad"); n != 2001 {
+		t.Fatalf("net_rx_bad = %d, want 2001", n)
 	}
 }

@@ -14,14 +14,13 @@ func frameEqual(a, b *Frame) bool {
 
 func TestWireRoundTrip(t *testing.T) {
 	cases := []Frame{
-		{Kind: KindData, Type: "data", From: 0, To: 1},
+		{Kind: KindData, Type: "gnu:hit", From: 0, To: 1},
 		{Kind: KindReq, Type: "fd_ping", From: 3, To: 7, ReqID: 42, RespBytes: 64},
 		{Kind: KindResp, Type: "fd_ack", From: 7, To: 3, ReqID: 42, Payload: make([]byte, 64)},
 		{Kind: KindReq, Type: "kad:find_node", From: 1, To: 2, ReqID: 1, Payload: []byte("key")},
-		// A type outside the static table must travel inline.
-		{Kind: KindData, Type: "custom:exotic", From: 9, To: 10, Payload: []byte{0, 1, 2, 255}},
+		{Kind: KindReq, Type: "hello", From: 9, To: -1, ReqID: 2, Payload: []byte{0, 1, 2, 255}},
 		// Largest allowed payload.
-		{Kind: KindData, Type: "data", From: 0, To: 0, Payload: bytes.Repeat([]byte{0xAB}, MaxPayload)},
+		{Kind: KindData, Type: "gnu:query", From: 0, To: 0, Payload: bytes.Repeat([]byte{0xAB}, MaxPayload)},
 	}
 	for _, f := range cases {
 		buf, err := AppendFrame(nil, &f)
@@ -38,21 +37,35 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireKnownTypesUseOneByte: every table type travels as its
+// one-byte id, and nothing else travels: a type outside the table, or a
+// request of a type that has no reply, is refused.
 func TestWireKnownTypesUseOneByte(t *testing.T) {
-	known := Frame{Kind: KindData, Type: "kad:find_node"}
-	inline := Frame{Kind: KindData, Type: "kad_find_node_x"}
-	bk, _ := AppendFrame(nil, &known)
-	bi, _ := AppendFrame(nil, &inline)
-	if len(bk) != headerLen {
-		t.Fatalf("table-known type encoded to %d bytes, want headerLen=%d", len(bk), headerLen)
+	for _, mt := range msgTable {
+		k := KindData
+		if mt.reply != noReply {
+			k = KindReq
+		}
+		b, err := AppendFrame(nil, &Frame{Kind: k, Type: mt.name})
+		if err != nil || len(b) != headerLen {
+			t.Fatalf("%s encoded to %d bytes (%v), want headerLen=%d", mt.name, len(b), err, headerLen)
+		}
 	}
-	if len(bi) != headerLen+1+len(inline.Type) {
-		t.Fatalf("inline type encoded to %d bytes, want %d", len(bi), headerLen+1+len(inline.Type))
+	for _, f := range []Frame{
+		{Kind: KindData, Type: "kad_find_node_x"},
+		{Kind: KindData, Type: "probe"},
+		{Kind: KindReq, Type: "gnu:query"},
+		{Kind: KindReq, Type: "kad:nodes"},
+	} {
+		if b, err := AppendFrame(nil, &f); !errors.Is(err, ErrBadType) || len(b) != 0 {
+			t.Errorf("%v %s: encoded %d bytes, err %v; want ErrBadType", f.Kind, f.Type, len(b), err)
+		}
 	}
 }
 
 func TestWireDecodeErrors(t *testing.T) {
-	good, _ := AppendFrame(nil, &Frame{Kind: KindReq, Type: "probe", ReqID: 1, Payload: []byte("xy")})
+	good, _ := AppendFrame(nil, &Frame{Kind: KindReq, Type: "fd_ping", ReqID: 1, Payload: []byte("xy")})
+	gnuHit := byte(msgIDs["gnu:hit"])
 	cases := []struct {
 		name string
 		b    []byte
@@ -63,6 +76,8 @@ func TestWireDecodeErrors(t *testing.T) {
 		{"magic", append([]byte("XX"), good[2:]...), ErrBadMagic},
 		{"version", append([]byte{magic0, magic1, 99}, good[3:]...), ErrBadVersion},
 		{"type id", append(append([]byte{}, good[:4]...), 200), ErrBadType},
+		{"inline type", append(append([]byte{}, good[:4]...), 0xFF, 3, 'a', 'b', 'c'), ErrBadType},
+		{"request without reply", append(append([]byte{}, good[:4]...), append([]byte{gnuHit}, good[5:]...)...), ErrBadType},
 		{"truncated payload", good[:len(good)-1], ErrTruncated},
 	}
 	for _, tc := range cases {
@@ -71,7 +86,7 @@ func TestWireDecodeErrors(t *testing.T) {
 		}
 	}
 	// Oversized payloads are refused at both ends.
-	big := Frame{Kind: KindData, Type: "data", Payload: make([]byte, MaxPayload+1)}
+	big := Frame{Kind: KindData, Type: "gnu:query", Payload: make([]byte, MaxPayload+1)}
 	if _, err := AppendFrame(nil, &big); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("encode oversized: got %v, want ErrTooLarge", err)
 	}
@@ -84,7 +99,7 @@ func TestWireDecodeErrors(t *testing.T) {
 }
 
 func TestWirePayloadIsCopied(t *testing.T) {
-	f := Frame{Kind: KindData, Type: "data", Payload: []byte("hold")}
+	f := Frame{Kind: KindData, Type: "gnu:query", Payload: []byte("hold")}
 	buf, _ := AppendFrame(nil, &f)
 	got, err := DecodeFrame(buf)
 	if err != nil {

@@ -354,7 +354,7 @@ func (s *Swarm) NeighborASMix() float64 {
 	return float64(intra) / float64(total)
 }
 
-// HealthStats implements the telemetry HealthReporter hook: swarm
+// HealthStats is a health source for telemetry.Probe.ObserveHealth: swarm
 // progress and locality gauges sampled per round by the probe plane
 // (pure reads over the peer slice, deterministic).
 //

@@ -155,7 +155,7 @@ func (o *Overlay) Route(src, dst underlay.HostID) RouteStats {
 	return st
 }
 
-// HealthStats implements the telemetry HealthReporter hook: the state of
+// HealthStats is a health source for telemetry.Probe.ObserveHealth: the state of
 // the secondary overlay (pure reads, deterministic).
 //
 //   - supernodes: elected AS landmarks

@@ -251,7 +251,7 @@ func (c *Ring) nextHop(cur *Node, key ID) *Node {
 	return nil
 }
 
-// HealthStats implements the telemetry HealthReporter hook: finger-table
+// HealthStats is a health source for telemetry.Probe.ObserveHealth: finger-table
 // fill and locality gauges (pure reads over the sorted node slice,
 // deterministic).
 //

@@ -348,7 +348,7 @@ func (t *Tree) Geocast(from *underlay.Host, box geo.Box, payloadBytes uint64) (i
 	return reached, st
 }
 
-// HealthStats implements the telemetry HealthReporter hook: shape gauges
+// HealthStats is a health source for telemetry.Probe.ObserveHealth: shape gauges
 // of the zone tree (pure reads via a deterministic pre-order walk).
 //
 //   - peers: registered population

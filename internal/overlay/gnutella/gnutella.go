@@ -411,7 +411,7 @@ func (s *idSet) del(id underlay.HostID) {
 	}
 }
 
-// HealthStats implements the telemetry HealthReporter hook: live gauges
+// HealthStats is a health source for telemetry.Probe.ObserveHealth: live gauges
 // over the two-tier topology, computed by pure reads in join order so
 // sampling never perturbs a run.
 //

@@ -329,7 +329,7 @@ func (o *Overlay) ResetLoad() {
 	}
 }
 
-// HealthStats implements the telemetry HealthReporter hook: registry
+// HealthStats is a health source for telemetry.Probe.ObserveHealth: registry
 // load balance across the hierarchy (pure reads, deterministic).
 //
 //   - peers: joined population

@@ -253,7 +253,7 @@ func (d *DHT) Bootstrap(seeds int) {
 	}
 }
 
-// HealthStats implements the telemetry HealthReporter hook: structural
+// HealthStats is a health source for telemetry.Probe.ObserveHealth: structural
 // gauges the probe plane samples over simulated time. All values come
 // from pure reads in deterministic order (d.sorted, sorted contacts),
 // so sampling never perturbs a run.

@@ -321,7 +321,7 @@ func (m *Mesh) ParentCapacityMean() float64 {
 	return sum / float64(n)
 }
 
-// HealthStats implements the telemetry HealthReporter hook: playout
+// HealthStats is a health source for telemetry.Probe.ObserveHealth: playout
 // quality gauges the probe plane samples per tick batch (pure reads over
 // the peer slice, deterministic).
 //

@@ -62,6 +62,16 @@ func DefaultConfig() Config {
 	}
 }
 
+// Pinger is what a Detector needs from a transport: the kernel its
+// deadlines run on, and fd_ping/fd_ack round trips under a retry
+// policy. The sim transport (*transport.Transport) and the live UDP
+// transport (*nettransport.Net) both provide it.
+type Pinger interface {
+	Kernel() *sim.Kernel
+	RoundTripWith(p transport.RetryPolicy, from, to *underlay.Host,
+		reqBytes, respBytes uint64, reqType, respType string) transport.Result
+}
+
 type watchKey struct {
 	vantage, target underlay.HostID
 }
@@ -84,7 +94,7 @@ type watch struct {
 // A Detector is driven by the single kernel goroutine and is not
 // goroutine-safe, like everything else in the simulation.
 type Detector struct {
-	T   transport.Messenger
+	T   Pinger
 	K   *sim.Kernel
 	Cfg Config
 
@@ -102,7 +112,7 @@ type Detector struct {
 
 // New builds a detector over tr, which must carry a kernel — deadlines
 // are sim-time events.
-func New(tr transport.Messenger, cfg Config) *Detector {
+func New(tr Pinger, cfg Config) *Detector {
 	if tr.Kernel() == nil {
 		panic("resilience: Detector requires a transport with a kernel")
 	}
@@ -268,7 +278,7 @@ func (d *Detector) evict(w *watch) {
 	}
 }
 
-// HealthStats implements the telemetry HealthReporter hook: the
+// HealthStats is a health source for telemetry.Probe.ObserveHealth: the
 // detector's live state as probe-visible gauges, so `unapctl series`
 // renders suspicion/eviction waves and time-to-recover curves.
 //

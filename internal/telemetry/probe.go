@@ -12,19 +12,6 @@ import (
 	"unap2p/internal/transport"
 )
 
-// HealthReporter is the overlay-health introspection hook: a component
-// exposes a flat map of gauges describing how healthy its structure is
-// right now — routing-table fill and AS-hop locality for a DHT, ultrapeer
-// fan-out and intra-AS neighbor share for Gnutella, piece completion for
-// a swarm, median prediction error for a coordinate system. All unap2p
-// overlays implement it. Keys must be stable across calls and values
-// must be computed by pure reads in deterministic order, because the
-// Probe samples them mid-run and a sampled run must stay bit-identical
-// to an unsampled one.
-type HealthReporter interface {
-	HealthStats() map[string]float64
-}
-
 // Sample is one probe tick: everything the recorder can snapshot,
 // flattened to scalars, plus the registered health sources, at one point
 // in simulated time. Samples serialize into run files as the "sample"
@@ -253,12 +240,20 @@ func (p *Probe) ObserveChurn(d *churn.Driver) {
 func (p *Probe) ObserveMobility(m *mobility.Model) { p.rec.ObserveMobility(m) }
 
 // ObserveHealth registers a health source sampled at every tick as
-// "health:<name>:<key>" gauges. Registering the same name again
-// auto-suffixes it (name, name2, …), so an experiment that builds the
-// same overlay per variant keeps the curves separable. The parameter is
-// a plain func so packages that must not import telemetry (notably
-// internal/experiments) can feed it through a structural interface
-// check; stats must be a pure deterministic read.
+// "health:<name>:<key>" gauges. A source is a component's flat map of
+// gauges describing how healthy its structure is right now —
+// routing-table fill and AS-hop locality for a DHT, ultrapeer fan-out
+// for Gnutella, piece completion for a swarm, median prediction error
+// for a coordinate system; every overlay's HealthStats method is one.
+// Keys must be stable across calls and values computed by pure reads in
+// deterministic order, because the Probe samples them mid-run and a
+// sampled run must stay bit-identical to an unsampled one.
+//
+// Registering the same name again auto-suffixes it (name, name2, …), so
+// an experiment that builds the same overlay per variant keeps the
+// curves separable. The parameter is a plain func so packages that must
+// not import telemetry (notably internal/experiments) can feed it
+// through a structural interface check.
 func (p *Probe) ObserveHealth(name string, stats func() map[string]float64) {
 	if stats == nil {
 		return
